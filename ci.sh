@@ -182,13 +182,13 @@ if ! cargo test -q -p automotive-cps --test zero_alloc -- --list \
     exit 1
 fi
 
-# The batched-equivalence suite carries the lane-batched stepping's
-# bit-identity contract (kernel, campaign and scenario layers); same
-# reasoning, same gate.
-step "batched-equivalence suite is collected (tests/batched_equivalence.rs)"
-if ! cargo test -q -p automotive-cps --test batched_equivalence -- --list \
+# The scenario-batch suite carries ScenarioBatch's determinism contract
+# (identical outcomes for every thread count, on mixed override lists and
+# ragged scenario counts); same reasoning, same gate.
+step "scenario-batch suite is collected (tests/scenario_batch.rs)"
+if ! cargo test -q -p automotive-cps --test scenario_batch -- --list \
         | grep ": test" > /dev/null; then
-    echo "ERROR: the batched_equivalence suite was skipped or is empty" >&2
+    echo "ERROR: the scenario_batch suite was skipped or is empty" >&2
     exit 1
 fi
 

@@ -668,18 +668,23 @@ impl CoSimulation {
         Ok(())
     }
 
+    /// Number of control periods a run of `duration` seconds covers.
+    fn step_count(&self, duration: f64) -> Result<usize> {
+        if !duration.is_finite() || !(duration > 0.0) {
+            return Err(CoreError::InvalidConfig {
+                reason: format!("duration must be finite and positive, got {duration}"),
+            });
+        }
+        Ok((duration / self.period).ceil() as usize)
+    }
+
     /// Runs the co-simulation for `duration` seconds and returns the traces.
     ///
     /// # Errors
     ///
     /// Propagates simulator, runtime and bus errors.
     pub fn run(&mut self, duration: f64) -> Result<CoSimTrace> {
-        if !(duration > 0.0) {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("duration must be positive, got {duration}"),
-            });
-        }
-        let steps = (duration / self.period).ceil() as usize;
+        let steps = self.step_count(duration)?;
         let app_count = self.fleet.app_count();
         // Not `vec![Vec::with_capacity(steps); n]`: cloning a Vec drops its
         // capacity, which would leave all but one buffer unsized.
@@ -745,12 +750,7 @@ impl CoSimulation {
     /// Propagates simulator, runtime and bus errors (the bus logging flag is
     /// restored either way).
     pub fn run_metrics_into(&mut self, duration: f64, metrics: &mut RunMetrics) -> Result<()> {
-        if !(duration > 0.0) {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("duration must be positive, got {duration}"),
-            });
-        }
-        let steps = (duration / self.period).ceil() as usize;
+        let steps = self.step_count(duration)?;
         let app_count = self.fleet.app_count();
         metrics.begin(app_count, self.period);
         metrics.steps = steps;
@@ -972,5 +972,28 @@ mod tests {
         if allocation.slot_count() > 1 {
             assert!(CoSimulation::new(apps, &allocation, tiny_bus).is_err());
         }
+    }
+
+    #[test]
+    fn non_finite_durations_are_rejected() {
+        let apps = case_study::derived_fleet().unwrap();
+        let table = case_study::derive_table(&apps).unwrap();
+        let allocation =
+            cps_sched::allocate_slots(&table, &cps_sched::AllocatorConfig::default()).unwrap();
+        let mut cosim =
+            CoSimulation::new(apps, &allocation, FlexRayConfig::paper_case_study()).unwrap();
+        let mut metrics = RunMetrics::default();
+        for duration in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let err = cosim.run(duration).unwrap_err();
+            assert!(matches!(err, CoreError::InvalidConfig { .. }), "run({duration}): {err}");
+            let err = cosim.run_metrics_into(duration, &mut metrics).unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidConfig { .. }),
+                "run_metrics_into({duration}): {err}"
+            );
+        }
+        // The engine is still usable after the rejections.
+        cosim.run_metrics_into(0.5, &mut metrics).unwrap();
+        assert_eq!(metrics.steps, cosim.step_count(0.5).unwrap());
     }
 }

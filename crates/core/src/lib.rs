@@ -69,7 +69,6 @@
 #![forbid(unsafe_code)]
 
 mod application;
-mod batch;
 mod campaign;
 mod characterize;
 mod cosim;

@@ -10,24 +10,20 @@
 //! construction costs are paid once per thread rather than once per
 //! scenario, and every step inside is an allocation-free kernel step.
 //!
-//! Inside a chunk, runs of consecutive scenarios without bus-config or
-//! slot-map overrides are packed into the lanes of a batched engine
-//! (`crate::batch::BatchCoSim`) and stepped together — one batched kernel
-//! sweep per period across all packed scenarios
-//! ([`ScenarioBatch::with_lane_width`]).
+//! Each scenario runs on the engine's streaming metrics path
+//! ([`CoSimulation::run_metrics_into`]): no trace is materialised, only the
+//! online summary the [`ScenarioOutcome`] is folded from.
 //!
-//! Determinism: each scenario is simulated from a full reset (or a freshly
-//! reset lane), so its [`ScenarioOutcome`] depends only on its spec.
-//! Scenarios are partitioned into contiguous index chunks and results are
-//! stitched back in input order, which makes the output independent of the
-//! worker count *and* the lane width — properties the test suite asserts.
+//! Determinism: each scenario is simulated from a full reset, so its
+//! [`ScenarioOutcome`] depends only on its spec. Scenarios are partitioned
+//! into contiguous index chunks and results are stitched back in input
+//! order, which makes the output independent of the worker count — a
+//! property the test suite asserts.
 
 use crate::application::ControlApplication;
-use crate::batch::BatchCoSim;
-use crate::cosim::{CoSimTrace, CoSimulation, RunMetrics};
+use crate::cosim::{CoSimulation, RunMetrics};
 use crate::error::{CoreError, Result};
 use crate::fleet::DesignedFleet;
-use cps_control::CommunicationMode;
 use cps_flexray::FlexRayConfig;
 use cps_sched::SlotAllocation;
 use std::sync::Arc;
@@ -486,8 +482,8 @@ fn slot_timing_against(baseline_slot_length: f64, bus: &FlexRayConfig) -> cps_sc
         .expect("validated slot lengths yield a finite non-negative overhead")
 }
 
-/// Per-scenario summary returned by the batch engine (the full traces stay
-/// inside the workers; summaries keep the batch output small enough to sweep
+/// Per-scenario summary returned by the batch engine (no trace is
+/// materialised; summaries keep the batch output small enough to sweep
 /// thousands of scenarios).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioOutcome {
@@ -510,11 +506,10 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
-    /// The lane-batched twin of [`ScenarioOutcome::from_trace`], fed from
-    /// the online metrics instead of a materialised trace. Every field is
-    /// bit-identical: the metrics path computes the same response times,
-    /// pre-step peak norms, TT-period counts and bus counters the trace
-    /// extraction folds out of the recorded points.
+    /// Folds a scenario's online metrics into its outcome. Every field is
+    /// bit-identical to what the trace reference folds out of the recorded
+    /// points: the metrics path computes the same response times, pre-step
+    /// peak norms, TT-period counts and bus counters.
     fn from_metrics(index: usize, label: String, metrics: &RunMetrics) -> Self {
         ScenarioOutcome {
             index,
@@ -528,7 +523,11 @@ impl ScenarioOutcome {
         }
     }
 
-    fn from_trace(index: usize, label: String, trace: &CoSimTrace) -> Self {
+    /// The reference fold out of a materialised [`crate::CoSimTrace`], which
+    /// [`ScenarioOutcome::from_metrics`] must reproduce bit for bit.
+    #[cfg(test)]
+    fn from_trace(index: usize, label: String, trace: &crate::CoSimTrace) -> Self {
+        use cps_control::CommunicationMode;
         ScenarioOutcome {
             index,
             label,
@@ -581,7 +580,6 @@ impl ScenarioOutcome {
 pub struct ScenarioBatch {
     fleet: Arc<DesignedFleet>,
     threads: usize,
-    lane_width: usize,
 }
 
 impl ScenarioBatch {
@@ -608,7 +606,7 @@ impl ScenarioBatch {
     /// Propagates engine-construction failures.
     pub fn from_fleet(fleet: Arc<DesignedFleet>) -> Result<Self> {
         fleet.engine()?;
-        Ok(ScenarioBatch { fleet, threads: 0, lane_width: 4 })
+        Ok(ScenarioBatch { fleet, threads: 0 })
     }
 
     /// The shared fleet design the batch fans out.
@@ -621,20 +619,6 @@ impl ScenarioBatch {
     /// setting.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the lane width of each worker's batched stepper (clamped to at
-    /// least 1; the default is 4): runs of consecutive scenarios without
-    /// bus-config or slot-map overrides are packed into the lanes of one
-    /// [`cps_control::BatchStepKernel`] per application and stepped
-    /// together; scenarios carrying overrides take the scalar path. Width 1
-    /// disables packing entirely. Like the thread count, this is a
-    /// throughput knob only — the outcomes are bit-identical for any lane
-    /// width.
-    #[must_use]
-    pub fn with_lane_width(mut self, lane_width: usize) -> Self {
-        self.lane_width = lane_width.max(1);
         self
     }
 
@@ -667,7 +651,7 @@ impl ScenarioBatch {
         let workers = self.effective_threads(scenarios.len());
         if workers == 1 {
             let mut outcomes = Vec::with_capacity(scenarios.len());
-            run_chunk(&self.fleet, self.lane_width, 0, scenarios, &mut outcomes)?;
+            run_chunk(&self.fleet, 0, scenarios, &mut outcomes)?;
             return Ok(outcomes);
         }
 
@@ -685,7 +669,7 @@ impl ScenarioBatch {
                             // Worker start-up: mutable scratch only, the
                             // design is shared through the Arc.
                             let mut outcomes = Vec::with_capacity(chunk.len());
-                            run_chunk(&self.fleet, self.lane_width, base, chunk, &mut outcomes)?;
+                            run_chunk(&self.fleet, base, chunk, &mut outcomes)?;
                             Ok(outcomes)
                         })
                     })
@@ -704,73 +688,24 @@ impl ScenarioBatch {
     }
 }
 
-/// `true` if the spec can share a lane group: lane contexts run on the
-/// fleet's designed bus and slot map, so only override-free specs pack
-/// (per-lane disturbance scales/vectors, thresholds and durations are fine).
-fn lane_compatible(spec: &ScenarioSpec) -> bool {
-    spec.bus_config.is_none() && spec.allocation.is_none()
-}
-
-/// Runs one worker's contiguous chunk: maximal runs of consecutive
-/// lane-compatible specs are packed into the batched engine (built lazily,
-/// once per worker) and stepped together; specs carrying bus/slot overrides
-/// run on the scalar engine. Outcomes land in `out` in input order, and the
-/// first error in scenario order aborts the chunk — exactly the scalar
-/// semantics.
+/// Runs one worker's contiguous chunk on a single reset-and-rerun engine.
+/// Outcomes land in `out` in input order, and the first error in scenario
+/// order aborts the chunk.
 fn run_chunk(
     fleet: &Arc<DesignedFleet>,
-    lane_width: usize,
     base: usize,
     specs: &[ScenarioSpec],
     out: &mut Vec<ScenarioOutcome>,
 ) -> Result<()> {
-    let mut engine: Option<CoSimulation> = None;
-    let mut batch: Option<BatchCoSim> = None;
+    let mut engine = fleet.engine()?;
     let mut metrics = RunMetrics::default();
-    let mut offset = 0;
-    while offset < specs.len() {
-        if lane_width > 1 && lane_compatible(&specs[offset]) {
-            let mut group_len = 1;
-            while group_len < lane_width
-                && offset + group_len < specs.len()
-                && lane_compatible(&specs[offset + group_len])
-            {
-                group_len += 1;
-            }
-            let group = &specs[offset..offset + group_len];
-            if batch.is_none() {
-                batch = Some(BatchCoSim::from_fleet(fleet, lane_width)?);
-            }
-            let batch = batch.as_mut().expect("just initialised");
-            batch.clear();
-            for (lane, spec) in group.iter().enumerate() {
-                validate_spec(spec)?;
-                batch.load_scenario_lane(lane, spec)?;
-            }
-            batch.run_loaded()?;
-            for (lane, spec) in group.iter().enumerate() {
-                batch.lane_metrics_into(lane, &mut metrics);
-                out.push(ScenarioOutcome::from_metrics(
-                    base + offset + lane,
-                    spec.label.clone(),
-                    &metrics,
-                ));
-            }
-            offset += group_len;
-        } else {
-            if engine.is_none() {
-                engine = Some(fleet.engine()?);
-            }
-            let engine = engine.as_mut().expect("just initialised");
-            out.push(run_one(engine, base + offset, &specs[offset])?);
-            offset += 1;
-        }
+    for (offset, spec) in specs.iter().enumerate() {
+        out.push(run_one(&mut engine, &mut metrics, base + offset, spec)?);
     }
     Ok(())
 }
 
-/// The spec validation both the scalar and the lane-batched paths apply, in
-/// the same order, before touching an engine.
+/// Validates a spec's parameters before it touches the engine.
 fn validate_spec(spec: &ScenarioSpec) -> Result<()> {
     if !(spec.disturbance_scale.is_finite()) || spec.disturbance_scale < 0.0 {
         return Err(CoreError::InvalidConfig {
@@ -791,7 +726,12 @@ fn validate_spec(spec: &ScenarioSpec) -> Result<()> {
     Ok(())
 }
 
-fn run_one(engine: &mut CoSimulation, index: usize, spec: &ScenarioSpec) -> Result<ScenarioOutcome> {
+fn run_one(
+    engine: &mut CoSimulation,
+    metrics: &mut RunMetrics,
+    index: usize,
+    spec: &ScenarioSpec,
+) -> Result<ScenarioOutcome> {
     validate_spec(spec)?;
     engine.reset()?;
     // The engine is reused across scenarios, so the bus configuration and
@@ -806,8 +746,8 @@ fn run_one(engine: &mut CoSimulation, index: usize, spec: &ScenarioSpec) -> Resu
         None => engine.inject_disturbances_scaled(spec.disturbance_scale)?,
         Some(vectors) => engine.inject_disturbance_vectors(vectors, spec.disturbance_scale)?,
     }
-    let trace = engine.run(spec.duration)?;
-    Ok(ScenarioOutcome::from_trace(index, spec.label.clone(), &trace))
+    engine.run_metrics_into(spec.duration, metrics)?;
+    Ok(ScenarioOutcome::from_metrics(index, spec.label.clone(), metrics))
 }
 
 #[cfg(test)]
@@ -821,35 +761,6 @@ mod tests {
         let allocation =
             cps_sched::allocate_slots(&table, &cps_sched::AllocatorConfig::default()).unwrap();
         ScenarioBatch::new(apps, allocation, FlexRayConfig::paper_case_study()).unwrap()
-    }
-
-    #[test]
-    fn lane_width_does_not_change_the_outcomes() {
-        let batch = batch();
-        let apps = case_study::derived_fleet().unwrap();
-        let table = case_study::derive_table(&apps).unwrap();
-        let allocation =
-            cps_sched::allocate_slots(&table, &cps_sched::AllocatorConfig::default()).unwrap();
-        // A mixed list: laneable grid points interrupted mid-stream by a
-        // slot-map override (scalar path), so packing has to split groups
-        // and re-pack ragged remainders around it.
-        let mut scenarios = ScenarioSpec::grid(&[0.6, 1.0, 1.4], &[0.9, 1.1], 1.0);
-        scenarios.insert(3, ScenarioSpec::nominal(1.0).with_allocation(allocation));
-        let scalar = batch.clone().with_lane_width(1).run(&scenarios).unwrap();
-        for lanes in [2, 3, 4, 8] {
-            for threads in [1, 2] {
-                let outcomes = batch
-                    .clone()
-                    .with_lane_width(lanes)
-                    .with_threads(threads)
-                    .run(&scenarios)
-                    .unwrap();
-                assert_eq!(
-                    scalar, outcomes,
-                    "lane width {lanes} × {threads} threads changed the outcomes"
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Acceptance test for the parallel scenario engine: at least 64 disturbance
 //! scenarios fan out across worker threads and the results are deterministic
-//! and independent of the thread count.
+//! and independent of the thread count — also for a mixed list with
+//! override specs wedged mid-list (each worker reuses one engine, so an
+//! override must not leak into the specs after it) and for ragged scenario
+//! counts that do not divide evenly among the workers.
 
 use automotive_cps::core::{case_study, ScenarioBatch, ScenarioSpec};
 use automotive_cps::flexray::FlexRayConfig;
@@ -39,7 +42,7 @@ fn sixty_four_scenarios_are_thread_count_independent() {
 
     let serial = batch.clone().with_threads(1).run(&scenarios).expect("serial run");
     let four = batch.clone().with_threads(4).run(&scenarios).expect("4-thread run");
-    let seven = batch.with_threads(7).run(&scenarios).expect("7-thread run");
+    let seven = batch.clone().with_threads(7).run(&scenarios).expect("7-thread run");
 
     assert_eq!(serial, four, "4-thread results must match the serial run");
     assert_eq!(serial, seven, "7-thread results must match the serial run");
@@ -57,6 +60,44 @@ fn sixty_four_scenarios_are_thread_count_independent() {
     // application's settling relative to the weakest scenario.
     if let (Some(fast), Some(slow)) = (serial[0].response_times[0], serial[59].response_times[0]) {
         assert!(fast <= slow);
+    }
+
+    // A mixed list: threshold-sweep specs after a disturbance sweep, with a
+    // slot-map override and a per-application disturbance override inserted
+    // mid-list.
+    let mut mixed = ScenarioSpec::disturbance_sweep(0.2, 2.0, 9, 1.0);
+    mixed.extend(ScenarioSpec::threshold_sweep(0.7, 1.8, 3, 1.0));
+    let designed = batch.fleet().allocation().clone();
+    mixed.insert(4, ScenarioSpec::nominal(1.0).with_allocation(designed));
+    let per_app: Vec<Vec<f64>> = batch
+        .fleet()
+        .apps()
+        .iter()
+        .enumerate()
+        .map(|(index, app)| {
+            app.spec().disturbance.iter().map(|d| d * (index as f64 + 1.0) * 0.3).collect()
+        })
+        .collect();
+    mixed.insert(7, ScenarioSpec::nominal(1.0).with_disturbances(per_app));
+    let mixed_serial = batch.clone().with_threads(1).run(&mixed).expect("serial mixed run");
+    assert_eq!(mixed_serial.len(), mixed.len());
+    for threads in [2, 3, 5] {
+        let outcomes = batch.clone().with_threads(threads).run(&mixed).expect("mixed run");
+        assert_eq!(outcomes, mixed_serial, "{threads} threads changed the mixed outcomes");
+    }
+
+    // Ragged scenario counts: chunks of unequal length, including counts
+    // smaller than the thread count.
+    for count in 2..14 {
+        let ragged = ScenarioSpec::disturbance_sweep(0.3, 1.8, count, 0.5);
+        let ragged_serial = batch.clone().with_threads(1).run(&ragged).expect("serial run");
+        for threads in 2..4 {
+            let outcomes = batch.clone().with_threads(threads).run(&ragged).expect("ragged run");
+            assert_eq!(
+                outcomes, ragged_serial,
+                "{threads} threads × {count} scenarios changed the outcomes"
+            );
+        }
     }
 }
 
