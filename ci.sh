@@ -147,29 +147,31 @@ cargo build --release --workspace
 step "cargo test -q (workspace)"
 cargo test -q --workspace
 
-# The exact-allocator oracle suite is the safety net behind every optimality
-# claim in the repo, and the robustness-campaign suite behind every
-# fault-injection/determinism claim; fail loudly if either ever stops being
+# The exact-allocator suites are the safety net behind every optimality
+# claim in the repo: the oracle suite (exhaustive enumeration) and the
+# portfolio regression suite (the driver's determinism contract and the
+# committed node-count fixture). Fail loudly if either ever stops being
 # collected (renamed target, filtered out, accidentally deleted) instead of
-# silently passing.
-step "oracle suite is collected (tests/allocation_optimal.rs)"
+# silently passing, and check that each still collects its bit-identity
+# test against the sequential reference `allocate_slots_optimal` by name,
+# so that comparison cannot silently drop out.
 # (plain grep, not -q: early exit would break the pipe under pipefail)
-if ! cargo test -q -p automotive-cps --test allocation_optimal -- --list \
-        | grep ": test" > /dev/null; then
-    echo "ERROR: the allocation_optimal oracle suite was skipped or is empty" >&2
-    exit 1
-fi
+for gate in "allocation_optimal portfolio_is_bit_identical_to_sequential_on_the_oracle_grid" \
+            "allocation_portfolio portfolio_is_bit_identical_across_repeats_and_worker_counts"; do
+    read -r suite identity <<<"$gate"
+    step "exact-allocator suite is collected (tests/$suite.rs: $identity)"
+    suite_tests="$(cargo test -q -p automotive-cps --test "$suite" -- --list)"
+    if ! grep ": test" > /dev/null <<<"$suite_tests"; then
+        echo "ERROR: the $suite suite was skipped or is empty" >&2
+        exit 1
+    fi
+    if ! grep -- "^$identity: test" > /dev/null <<<"$suite_tests"; then
+        echo "ERROR: $suite lost its bit-identity test '$identity'" >&2
+        exit 1
+    fi
+done
 
-# The portfolio regression suite carries the parallel allocator's
-# determinism contract (bit-identical optima for every worker count) and
-# the committed node-count fixture; same reasoning, same gate.
-step "portfolio suite is collected (tests/allocation_portfolio.rs)"
-if ! cargo test -q -p automotive-cps --test allocation_portfolio -- --list \
-        | grep ": test" > /dev/null; then
-    echo "ERROR: the allocation_portfolio regression suite was skipped or is empty" >&2
-    exit 1
-fi
-
+# Same gate for the suites behind every fault-injection/determinism claim.
 step "campaign/fault suite is collected (tests/robustness_campaign.rs, tests/zero_alloc.rs)"
 if ! cargo test -q -p automotive-cps --test robustness_campaign -- --list \
         | grep ": test" > /dev/null; then

@@ -1,25 +1,25 @@
 //! Perf bench — cost of the *exact* branch-and-bound slot allocation
 //! versus the greedy heuristic sweep it upgrades.
 //!
-//! The solver is seeded with the best greedy allocation, so its cost is the
-//! greedy sweep plus the proof of optimality; the interesting quantity is
-//! how that proof scales with fleet size. `solve` benches run on a
-//! pre-constructed solver (`solve_in_place` is allocation-free and
-//! idempotent), mirroring how the design-space sweeps reuse one solver per
-//! fleet.
+//! The solver is the single-worker `PortfolioAllocator` (the exact
+//! driver every production path runs), seeded with the best greedy
+//! allocation and a deterministic restart schedule, so its cost is the
+//! greedy sweep plus the restarts plus the proof of optimality; the
+//! interesting quantity is how that proof scales with fleet size. `solve`
+//! benches run on a pre-constructed solver (`solve_in_place` is
+//! allocation-free at one worker and idempotent), mirroring how the
+//! design-space sweeps reuse one solver per fleet.
 //!
-//! The `portfolio_{1,2,4}_threads` rungs run the parallel portfolio on a
-//! contended 24-app fleet where the randomized restart schedule beats every
-//! greedy strategy to the optimum, so the exact proof closes in strictly
-//! fewer nodes than the plain sequential solver needs — the scaling story
-//! the portfolio exists for, asserted on every run and printed next to the
-//! timings.
+//! The `portfolio_{1,2,4}_threads` rungs run the portfolio on a contended
+//! 24-app fleet where the randomized restart schedule beats every greedy
+//! strategy, so the proof starts from a strictly tighter incumbent than
+//! the greedy seed — the mechanism the restarts exist for, asserted on
+//! every run and printed next to the timings.
 
 use cps_bench::{synthetic_fleet, synthetic_fleet_tight};
 use cps_sched::case_study_fixtures::paper_table1;
 use cps_sched::{
-    allocation_sweep, AllocatorConfig, AppTimingParams, OptimalAllocator, PortfolioAllocator,
-    PortfolioConfig,
+    allocation_sweep, AllocatorConfig, AppTimingParams, PortfolioAllocator, PortfolioConfig,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Instant;
@@ -27,10 +27,11 @@ use std::time::Instant;
 fn bench(c: &mut Criterion) {
     let apps = paper_table1();
     let config = AllocatorConfig::default();
+    let one_worker = PortfolioConfig::with_threads(1);
 
     // Correctness gates: the solver must reproduce the paper's 3-slot
     // optimum and never lose to the greedy sweep.
-    let mut solver = OptimalAllocator::new(&apps, &config).expect("solver");
+    let mut solver = PortfolioAllocator::new(&apps, &config, &one_worker).expect("solver");
     let optimal = solver.solve().expect("feasible");
     assert_eq!(optimal.slot_count(), 3);
     assert!(optimal.verify(&apps).expect("verification runs"));
@@ -55,7 +56,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| allocation_sweep(&apps, &config.sweep_matrix()))
     });
     group.bench_function("paper_table1_solver_construction", |b| {
-        b.iter(|| OptimalAllocator::new(&apps, &config).expect("solver"))
+        b.iter(|| PortfolioAllocator::new(&apps, &config, &one_worker).expect("solver"))
     });
 
     // Scaling: synthetic fleets (deterministic seed) with the slot budget
@@ -63,7 +64,7 @@ fn bench(c: &mut Criterion) {
     for size in [6usize, 8, 10] {
         let fleet: Vec<AppTimingParams> = synthetic_fleet(size, 42);
         let sized = AllocatorConfig { max_slots: size, ..config };
-        let mut solver = OptimalAllocator::new(&fleet, &sized).expect("solver");
+        let mut solver = PortfolioAllocator::new(&fleet, &sized, &one_worker).expect("solver");
         let slots = solver.solve_in_place().expect("synthetic fleets are schedulable");
         println!(
             "synthetic fleet n={size}: optimal {slots} slots, {} search nodes",
@@ -78,39 +79,33 @@ fn bench(c: &mut Criterion) {
 
     // Portfolio rungs: a contended 24-app fleet (tight deadlines, slot
     // budget open) whose optimality proof costs hundreds of thousands of
-    // nodes, and where the randomized restart schedule finds the optimum
-    // before any greedy strategy does — so the portfolio prunes with a
-    // tighter incumbent and closes the proof in strictly fewer nodes than
-    // the sequential solver, at every worker count. The node counts are
-    // printed alongside the timings; the assertions keep the "strictly
-    // fewer nodes" claim honest on every perf run.
+    // nodes, and where the randomized restart schedule finds a better
+    // packing than any greedy strategy — so the search prunes with a
+    // strictly tighter incumbent than the greedy seed at every worker
+    // count. Node counts and times are printed alongside the timings; the
+    // assertions keep the restart claim and the worker-count invariance
+    // honest on every perf run.
     let fleet = synthetic_fleet_tight(24, 9015);
     let sized = AllocatorConfig { max_slots: 24, ..config };
-    let mut sequential = OptimalAllocator::new(&fleet, &sized).expect("solver");
-    let seq_started = Instant::now();
-    let seq_slots = sequential.solve_in_place().expect("tight fleet is schedulable");
-    let seq_elapsed = seq_started.elapsed();
-    let seq_nodes = sequential.nodes_explored();
-    println!(
-        "tight fleet n=24 seed=9015: sequential optimum {seq_slots} slots, \
-         {seq_nodes} nodes in {seq_elapsed:?}"
-    );
+    let mut optimum = None;
     for threads in [1usize, 2, 4] {
         let schedule = PortfolioConfig::with_threads(threads);
         let mut solver = PortfolioAllocator::new(&fleet, &sized, &schedule).expect("solver");
+        let greedy = solver.greedy_bound().expect("greedy strategies succeed");
+        let incumbent = solver.incumbent_bound().expect("incumbent exists");
+        assert!(
+            incumbent < greedy,
+            "the restart schedule must beat every greedy strategy \
+             (incumbent {incumbent} vs greedy {greedy} slots)"
+        );
         let started = Instant::now();
         let slots = solver.solve_in_place().expect("tight fleet is schedulable");
         let elapsed = started.elapsed();
         let nodes = solver.nodes_explored();
-        assert_eq!(slots, seq_slots, "the portfolio must return the sequential optimum");
-        assert!(
-            nodes < seq_nodes,
-            "the restart schedule's incumbent must close the proof in strictly \
-             fewer nodes ({nodes} vs sequential {seq_nodes})"
-        );
+        assert_eq!(*optimum.get_or_insert(slots), slots, "the optimum must not depend on threads");
         println!(
-            "portfolio threads={threads}: optimum {slots} slots, {nodes} nodes in {elapsed:?} \
-             (sequential: {seq_nodes} nodes in {seq_elapsed:?})"
+            "tight fleet n=24 seed=9015, portfolio threads={threads}: optimum {slots} slots \
+             (greedy {greedy}, restart incumbent {incumbent}), {nodes} nodes in {elapsed:?}"
         );
         group.bench_function(format!("portfolio_{threads}_threads"), |b| {
             b.iter(|| solver.solve_in_place().expect("feasible"))

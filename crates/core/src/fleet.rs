@@ -127,14 +127,15 @@ impl DesignedFleet {
 
     /// The exact design path, routed through the [`crate::FleetDesigner`]
     /// pipeline: characterises every application **once** (in parallel),
-    /// then solves the slot allocation with the branch-and-bound optimum of
-    /// [`cps_sched::allocate_slots_optimal`] — the same characterisation
-    /// pass feeds the greedy incumbent seed, the exact search *and* the
-    /// fleet's cached [`DesignedFleet::timing_table`] — capped by the bus's
-    /// static segment, and freezes the fleet. The result provably uses the
-    /// minimum number of TT slots for the derived timing table under the
-    /// given dwell model, wait-time method and slot geometry
-    /// (`config.strategy` is ignored).
+    /// then solves the slot allocation with the exact branch-and-bound
+    /// driver [`cps_sched::allocate_slots_portfolio`] (machine parallelism;
+    /// the answer is the same for every worker count) — the same
+    /// characterisation pass feeds the greedy incumbent seed, the exact
+    /// search *and* the fleet's cached [`DesignedFleet::timing_table`] —
+    /// capped by the bus's static segment, and freezes the fleet. The
+    /// result provably uses the minimum number of TT slots for the derived
+    /// timing table under the given dwell model, wait-time method and slot
+    /// geometry (`config.strategy` is ignored).
     ///
     /// # Examples
     ///

@@ -19,14 +19,17 @@
 //!   ξ̂ = k̂_wait + k_dw(k̂_wait) and deadline checks.
 //! * [`allocate_slots`] — the paper's greedy next-fit slot allocation plus
 //!   first-fit and best-fit ablations.
-//! * [`allocate_slots_optimal`] / [`OptimalAllocator`] — an *exact*
+//! * [`PortfolioAllocator`] / [`allocate_slots_portfolio`] — an *exact*
 //!   branch-and-bound slot allocation that provably minimises the slot
 //!   count: the greedy answers become upper bounds (the incumbent seed) the
 //!   search must meet or beat, nodes are cut by a slot-demand relaxation of
 //!   the paper's utilisation test (every feasible slot carries demand
 //!   `Σ ξᴹⱼ/rⱼ < 1 + u_max`) and by provably-dead slots (wait times only
 //!   grow as a slot fills, and the response floor over all larger waits is
-//!   attained at a breakpoint of the piecewise-linear dwell curve).
+//!   attained at a breakpoint of the piecewise-linear dwell curve). One
+//!   driver with a worker-count knob ([`PortfolioConfig`]), a node budget
+//!   and a cancellation token; [`allocate_slots_optimal`] is the plain
+//!   sequential search it is checked against, bit for bit.
 //! * [`SlotTiming`] — how the bus's slot geometry enters the analysis: the
 //!   extra per-slot transmission time of a swept static slot length Ψ
 //!   stretches every blocking/interference occupancy (and the solver's
@@ -72,8 +75,7 @@ pub use allocation::{
 };
 pub use cancel::CancelToken;
 pub use optimal::{
-    allocate_slots_optimal, allocate_slots_portfolio, OptimalAllocator, PortfolioAllocator,
-    PortfolioConfig,
+    allocate_slots_optimal, allocate_slots_portfolio, PortfolioAllocator, PortfolioConfig,
 };
 pub use app::{priority_order, AppTimingParams};
 pub use dwell::{

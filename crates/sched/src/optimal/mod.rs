@@ -7,15 +7,18 @@
 //! heuristic sweep into a provable tool: every greedy answer becomes an upper
 //! bound the solver must meet or beat.
 //!
-//! The module splits into the pieces the two solvers share:
+//! The module splits into:
 //!
 //! * [`search`](self) (private) — the restricted-growth DFS core, the
 //!   allocation-free per-slot analysis and the deadness test;
 //! * `bounds` (private) — the slot-demand relaxation and the
 //!   pairwise-conflict clique lower bound;
-//! * [`OptimalAllocator`] — the sequential reference solver;
-//! * [`PortfolioAllocator`] — the parallel portfolio solver, bit-identical
-//!   to the sequential one for every worker count.
+//! * [`PortfolioAllocator`] — the exact driver: restart-seeded incumbent,
+//!   node budget, cancellation token and a worker-count knob
+//!   ([`PortfolioConfig::threads`]; one worker runs inline, without
+//!   spawning);
+//! * [`allocate_slots_optimal`] — the sequential reference: one plain
+//!   greedy-seeded `dfs` that the portfolio must reproduce bit for bit.
 //!
 //! # Search space
 //!
@@ -73,14 +76,14 @@
 //!
 //! Branching order, priority order and tie-breaks are all deterministic, so
 //! the returned allocation is a pure function of the inputs — for the
-//! sequential solver *and* for the portfolio at any worker count (see
+//! sequential reference *and* for the portfolio at any worker count (see
 //! [`PortfolioAllocator`] for the two-phase argument). After
-//! [`OptimalAllocator::new`] returns, [`OptimalAllocator::solve_in_place`]
-//! performs no heap allocation: slot membership, status flags and the best
-//! assignment live in buffers sized at construction, and the per-node
-//! schedulability check and bound stream over those buffers (verified by the
-//! workspace's counting-allocator test; the same holds for
-//! [`PortfolioAllocator::solve_in_place`] at one worker).
+//! [`PortfolioAllocator::new`] returns, a single-worker
+//! [`PortfolioAllocator::solve_in_place`] performs no heap allocation: slot
+//! membership, status flags and the best assignment live in buffers sized
+//! at construction, and the per-node schedulability check and bound stream
+//! over those buffers (verified by the workspace's counting-allocator
+//! test).
 
 mod bounds;
 mod portfolio;
@@ -90,76 +93,26 @@ pub use portfolio::{allocate_slots_portfolio, PortfolioAllocator, PortfolioConfi
 
 use crate::allocation::{AllocatorConfig, SlotAllocation};
 use crate::app::AppTimingParams;
-use crate::cancel::CancelToken;
 use crate::error::{Result, SchedError};
 
-use search::{dfs, seed_greedy, Driver, Flow, Problem, SearchState};
+use search::{dfs, seed_greedy, Driver, Problem, SearchState};
 
-/// Exact minimum-slot allocator: a reusable branch-and-bound search over slot
-/// assignments for one fleet under one [`AllocatorConfig`].
-///
-/// Construction validates the fleet, precomputes the priority order,
-/// per-application demands and conflict cliques, and seeds the incumbent
-/// with the best greedy allocation. [`OptimalAllocator::solve_in_place`]
-/// then runs the exact search without allocating;
-/// [`OptimalAllocator::best_allocation`] materialises the result. The
-/// `strategy` field of the configuration is ignored — the solver searches
-/// over *all* packings.
-#[derive(Debug)]
-pub struct OptimalAllocator<'a> {
-    problem: Problem<'a>,
-    state: SearchState,
-    /// Best known solution (`best_used` slots in `best_slots[..best_used]`);
-    /// `usize::MAX` when none is known.
-    best_slots: Vec<Vec<usize>>,
-    best_used: usize,
-    /// The greedy seed the incumbent is (re)initialised from.
-    seed_slots: Vec<Vec<usize>>,
-    seed_used: usize,
-    /// Search-tree nodes expanded by the last `solve_in_place`.
-    nodes: u64,
-    /// Cooperative cancellation checkpoint, polled once per search node (a
-    /// relaxed atomic load — no allocation, so the solve stays on the
-    /// zero-alloc hot path).
-    cancel: Option<CancelToken>,
-    /// Optional cap on search-tree nodes per solve — the deterministic
-    /// budget the design service uses to bound exact-search latency.
-    node_budget: Option<u64>,
-    /// Whether the last solve ran the search to exhaustion (`false` when the
-    /// cancellation token fired or the node budget ran out mid-search).
-    exhausted: bool,
-}
-
-/// The sequential solver's [`Driver`]: plain-field incumbent and node
-/// counter, record-and-continue at improving leaves.
-struct SequentialDriver<'s> {
+/// The reference's [`Driver`]: plain-field incumbent, record-and-continue
+/// at improving leaves, no budget and no cancellation.
+struct ReferenceDriver<'s> {
     best_slots: &'s mut [Vec<usize>],
-    best_used: &'s mut usize,
-    nodes: &'s mut u64,
-    budget: Option<u64>,
-    cancel: Option<&'s CancelToken>,
+    best_used: usize,
 }
 
-impl Driver for SequentialDriver<'_> {
+impl Driver for ReferenceDriver<'_> {
     fn bound(&self) -> usize {
-        *self.best_used
+        self.best_used
     }
     fn enter_node(&mut self) -> bool {
-        *self.nodes += 1;
-        // `>=` so that a budget of 1 fires at the root node: the search may
-        // *start* at most `budget` nodes, and a cut solve always degrades —
-        // there is no budget small enough to certify by accident. (The wire
-        // protocol reserves 0 for "unbounded", so 1 is the smallest budget a
-        // service request can carry.)
-        if let Some(budget) = self.budget {
-            if *self.nodes >= budget {
-                return false;
-            }
-        }
-        !self.cancel.as_ref().is_some_and(|token| token.is_cancelled())
+        true
     }
     fn on_leaf(&mut self, state: &SearchState) -> bool {
-        *self.best_used = state.used;
+        self.best_used = state.used;
         for (best, slot) in self.best_slots.iter_mut().zip(&state.slots).take(state.used) {
             best.clear();
             best.extend_from_slice(slot);
@@ -168,149 +121,17 @@ impl Driver for SequentialDriver<'_> {
     }
 }
 
-impl<'a> OptimalAllocator<'a> {
-    /// Builds a solver for the fleet under the given configuration
-    /// (`config.strategy` is ignored).
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::InvalidParameter`] if `apps` is empty or
-    /// `config.max_slots` is zero.
-    pub fn new(apps: &'a [AppTimingParams], config: &AllocatorConfig) -> Result<Self> {
-        let problem = Problem::new(apps, config)?;
-        let pool = problem.pool();
-        let make_pool =
-            || -> Vec<Vec<usize>> { (0..pool).map(|_| Vec::with_capacity(apps.len())).collect() };
-        let state = SearchState::new(&problem);
-        let mut seed_slots = make_pool();
-        let seed_used = seed_greedy(&problem, &mut seed_slots);
-        Ok(OptimalAllocator {
-            problem,
-            state,
-            best_slots: make_pool(),
-            best_used: usize::MAX,
-            seed_slots,
-            seed_used,
-            nodes: 0,
-            cancel: None,
-            node_budget: None,
-            exhausted: true,
-        })
-    }
-
-    /// The slot count of the greedy seed, if any greedy strategy succeeded.
-    pub fn greedy_bound(&self) -> Option<usize> {
-        (self.seed_used != usize::MAX).then_some(self.seed_used)
-    }
-
-    /// Size of the root conflict clique: a certified lower bound on the
-    /// optimal slot count of any feasible allocation (0 when the fleet is
-    /// too large for the clique bound, which falls back to demand alone).
-    pub fn clique_lower_bound(&self) -> usize {
-        self.problem.clique.root_clique_size()
-    }
-
-    /// Number of search-tree nodes expanded by the last
-    /// [`OptimalAllocator::solve_in_place`].
-    pub fn nodes_explored(&self) -> u64 {
-        self.nodes
-    }
-
-    /// Installs (or clears) a cooperative cancellation token. The search
-    /// polls it once per expanded node — a relaxed atomic load, nothing
-    /// more — and, when it fires, unwinds immediately while keeping the best
-    /// incumbent found so far (typically the greedy seed): the degradation
-    /// ladder of the design service.
-    pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {
-        self.cancel = token;
-    }
-
-    /// Caps the search: the solve cuts once `budget` nodes have been
-    /// entered, so a budget of 1 abandons at the root (`None`, the default,
-    /// is unbounded). A cut behaves exactly like cancellation — incumbent
-    /// kept, [`OptimalAllocator::certified_optimal`] reports `false` — but
-    /// is a *deterministic* trigger, which is what the service's tests pin
-    /// degradation behaviour on.
-    pub fn set_node_budget(&mut self, budget: Option<u64>) {
-        self.node_budget = budget;
-    }
-
-    /// Whether the last [`OptimalAllocator::solve_in_place`] ran the search
-    /// to exhaustion. `true` means the recorded best allocation is the
-    /// provable minimum (or, on `None`, that infeasibility is proven);
-    /// `false` means the solve was cut short by the cancellation token or
-    /// the node budget and the recorded best is only an upper bound —
-    /// `certified_optimal=false` in a served response.
-    pub fn certified_optimal(&self) -> bool {
-        self.exhausted
-    }
-
-    /// Runs the exact search and returns the minimum number of TT slots, or
-    /// `None` if no feasible allocation within `max_slots` exists. Performs
-    /// no heap allocation; the result is stored internally and can be
-    /// materialised with [`OptimalAllocator::best_allocation`].
-    pub fn solve_in_place(&mut self) -> Option<usize> {
-        // Re-seed the incumbent from the greedy solution so repeated solves
-        // are idempotent.
-        self.best_used = self.seed_used;
-        if self.seed_used != usize::MAX {
-            let OptimalAllocator { seed_slots, best_slots, .. } = self;
-            for (best, seed) in best_slots.iter_mut().zip(&*seed_slots).take(self.seed_used) {
-                best.clear();
-                best.extend_from_slice(seed);
-            }
-        }
-        self.state.reset();
-        self.nodes = 0;
-        let OptimalAllocator {
-            problem, state, best_slots, best_used, nodes, cancel, node_budget, ..
-        } = self;
-        let mut driver = SequentialDriver {
-            best_slots,
-            best_used,
-            nodes,
-            budget: *node_budget,
-            cancel: cancel.as_ref(),
-        };
-        let flow = dfs(problem, state, &mut driver, 0);
-        self.exhausted = flow != Flow::Aborted;
-        (self.best_used != usize::MAX).then_some(self.best_used)
-    }
-
-    /// Materialises the best allocation found by the last solve.
-    pub fn best_allocation(&self) -> Option<SlotAllocation> {
-        (self.best_used != usize::MAX).then(|| SlotAllocation {
-            slots: self.best_slots[..self.best_used].to_vec(),
-            model: self.problem.model,
-            method: self.problem.method,
-        })
-    }
-
-    /// Convenience: solve and materialise.
-    ///
-    /// # Errors
-    ///
-    /// * [`SchedError::NoFeasibleAllocation`] if the exhausted search proves
-    ///   no feasible allocation exists within `max_slots`.
-    /// * [`SchedError::SearchCancelled`] if the search was cut short (token
-    ///   or node budget) before *any* feasible allocation — incumbent
-    ///   included — was known; with an incumbent, a cut-short solve still
-    ///   returns it (check [`OptimalAllocator::certified_optimal`]).
-    pub fn solve(&mut self) -> Result<SlotAllocation> {
-        match self.solve_in_place() {
-            Some(_) => Ok(self.best_allocation().expect("solution recorded")),
-            None if self.exhausted => {
-                Err(SchedError::NoFeasibleAllocation { max_slots: self.problem.max_slots })
-            }
-            None => Err(SchedError::SearchCancelled { nodes: self.nodes }),
-        }
-    }
-}
-
 /// Allocates the applications to TT slots with the *minimum possible* slot
 /// count under the configured dwell model and wait-time method
-/// (`config.strategy` is ignored): an exact branch-and-bound search whose
-/// result never uses more slots than any greedy strategy.
+/// (`config.strategy` is ignored): one sequential, greedy-seeded
+/// branch-and-bound search whose result never uses more slots than any
+/// greedy strategy.
+///
+/// This is the sequential reference the exact driver is checked against:
+/// [`allocate_slots_portfolio`] must return the bit-identical outcome for
+/// every worker count (asserted by the test suites against exhaustive
+/// enumeration). It has no node budget, no cancellation and no node
+/// counter; production code solves through [`PortfolioAllocator`].
 ///
 /// Unlike the greedy [`crate::allocate_slots`] — which requires every
 /// application to be schedulable on a dedicated slot because it only ever
@@ -322,13 +143,24 @@ impl<'a> OptimalAllocator<'a> {
 ///
 /// * [`SchedError::InvalidParameter`] if `apps` is empty or `max_slots` is
 ///   zero.
-/// * [`SchedError::NoFeasibleAllocation`] if the exhausted search proves no
-///   feasible allocation within `config.max_slots` slots exists.
+/// * [`SchedError::NoFeasibleAllocation`] if the search proves no feasible
+///   allocation within `config.max_slots` slots exists.
 pub fn allocate_slots_optimal(
     apps: &[AppTimingParams],
     config: &AllocatorConfig,
 ) -> Result<SlotAllocation> {
-    OptimalAllocator::new(apps, config)?.solve()
+    let problem = Problem::new(apps, config)?;
+    let mut best_slots: Vec<Vec<usize>> =
+        (0..problem.pool()).map(|_| Vec::with_capacity(apps.len())).collect();
+    let best_used = seed_greedy(&problem, &mut best_slots);
+    let mut driver = ReferenceDriver { best_slots: &mut best_slots, best_used };
+    dfs(&problem, &mut SearchState::new(&problem), &mut driver, 0);
+    let best_used = driver.best_used;
+    if best_used == usize::MAX {
+        return Err(SchedError::NoFeasibleAllocation { max_slots: problem.max_slots });
+    }
+    best_slots.truncate(best_used);
+    Ok(SlotAllocation { slots: best_slots, model: problem.model, method: problem.method })
 }
 
 #[cfg(test)]
@@ -424,28 +256,12 @@ mod tests {
     }
 
     #[test]
-    fn solver_is_idempotent_and_counts_nodes() {
-        let apps = paper_table1();
-        let config = AllocatorConfig::default();
-        let mut solver = OptimalAllocator::new(&apps, &config).unwrap();
-        assert_eq!(solver.greedy_bound(), Some(3));
-        let first = solver.solve_in_place();
-        let nodes = solver.nodes_explored();
-        let allocation_a = solver.best_allocation().unwrap();
-        let second = solver.solve_in_place();
-        let allocation_b = solver.best_allocation().unwrap();
-        assert_eq!(first, Some(3));
-        assert_eq!(first, second);
-        assert_eq!(allocation_a, allocation_b);
-        assert_eq!(nodes, solver.nodes_explored());
-        assert!(nodes > 0);
-    }
-
-    #[test]
     fn clique_lower_bound_never_exceeds_the_optimum() {
         let apps = paper_table1();
         for config in configs() {
-            let mut solver = OptimalAllocator::new(&apps, &config).unwrap();
+            let mut solver =
+                PortfolioAllocator::new(&apps, &config, &PortfolioConfig::with_threads(1))
+                    .unwrap();
             let clique = solver.clique_lower_bound();
             if let Some(optimum) = solver.solve_in_place() {
                 assert!(
@@ -454,60 +270,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn budget_exhaustion_degrades_to_the_greedy_incumbent() {
-        let apps = paper_table1();
-        let config = AllocatorConfig::default();
-        let mut solver = OptimalAllocator::new(&apps, &config).unwrap();
-        let exact = solver.solve_in_place();
-        assert!(solver.certified_optimal());
-        let exact_allocation = solver.best_allocation().unwrap();
-
-        // A zero node budget cuts the search at the root: the solve returns
-        // the greedy incumbent and refuses to certify it.
-        solver.set_node_budget(Some(0));
-        let degraded = solver.solve_in_place();
-        assert_eq!(degraded, solver.greedy_bound());
-        assert!(!solver.certified_optimal());
-        let incumbent = solver.best_allocation().unwrap();
-        assert!(incumbent.verify(&apps).unwrap());
-
-        // Restoring the budget restores the exact (certified) answer —
-        // budget runs never corrupt solver state.
-        solver.set_node_budget(None);
-        assert_eq!(solver.solve_in_place(), exact);
-        assert!(solver.certified_optimal());
-        assert_eq!(solver.best_allocation().unwrap(), exact_allocation);
-    }
-
-    #[test]
-    fn cancellation_token_degrades_and_reports() {
-        let apps = paper_table1();
-        let config = AllocatorConfig::default();
-        let mut solver = OptimalAllocator::new(&apps, &config).unwrap();
-        let token = crate::CancelToken::new();
-        solver.set_cancel_token(Some(token.clone()));
-
-        // Un-cancelled token: behaviour (and result bits) unchanged.
-        let nominal = solver.solve_in_place();
-        assert_eq!(nominal, Some(3));
-        assert!(solver.certified_optimal());
-
-        // Pre-cancelled token: the incumbent survives, certification drops.
-        token.cancel();
-        assert_eq!(solver.solve_in_place(), solver.greedy_bound());
-        assert!(!solver.certified_optimal());
-        assert!(solver.best_allocation().unwrap().verify(&apps).unwrap());
-
-        // A fleet with no greedy incumbent and a cancelled search has no
-        // answer at all: solve() reports the cut, not infeasibility.
-        let impossible =
-            vec![AppTimingParams::new("X", 10.0, 0.2, 0.39, 3.97, 0.64, 0.69).unwrap()];
-        let mut solver = OptimalAllocator::new(&impossible, &config).unwrap();
-        solver.set_cancel_token(Some(token));
-        assert!(matches!(solver.solve(), Err(SchedError::SearchCancelled { .. })));
     }
 
     #[test]
@@ -606,41 +368,58 @@ mod tests {
         let allocation_a = solver.best_allocation().unwrap();
         assert_eq!(first, Some(3));
         assert!(solver.certified_optimal());
-        assert_eq!(solver.solve_in_place(), first);
-        assert_eq!(solver.best_allocation().unwrap(), allocation_a);
-        // One worker: the aggregate node count is deterministic.
-        assert_eq!(solver.nodes_explored(), nodes);
         assert!(nodes > 0);
+        for _ in 0..3 {
+            assert_eq!(solver.solve_in_place(), first);
+            assert_eq!(solver.best_allocation().unwrap(), allocation_a);
+            // One worker: the aggregate node count is deterministic.
+            assert_eq!(solver.nodes_explored(), nodes);
+        }
     }
 
     #[test]
     fn portfolio_budget_and_cancellation_degrade_like_sequential() {
         let apps = paper_table1();
         let config = AllocatorConfig::default();
-        let mut solver =
-            PortfolioAllocator::new(&apps, &config, &PortfolioConfig::with_threads(2)).unwrap();
-        let exact = solver.solve_in_place();
-        assert!(solver.certified_optimal());
+        for threads in [1, 2] {
+            let mut solver =
+                PortfolioAllocator::new(&apps, &config, &PortfolioConfig::with_threads(threads))
+                    .unwrap();
+            let exact = solver.solve_in_place();
+            assert!(solver.certified_optimal());
+            let exact_allocation = solver.best_allocation().unwrap();
 
-        // Aggregate budget of 1: cut at the generation root, incumbent
-        // returned uncertified.
-        solver.set_node_budget(Some(1));
-        assert_eq!(solver.solve_in_place(), solver.incumbent_bound());
-        assert!(!solver.certified_optimal());
-        assert!(solver.best_allocation().unwrap().verify(&apps).unwrap());
+            // Budgets of 0 and 1 both cut at the generation root: the
+            // incumbent (on this fleet, the greedy seed) comes back
+            // uncertified.
+            for budget in [0, 1] {
+                solver.set_node_budget(Some(budget));
+                let degraded = solver.solve_in_place();
+                assert_eq!(degraded, solver.incumbent_bound(), "threads={threads}");
+                assert_eq!(degraded, solver.greedy_bound(), "threads={threads}");
+                assert!(!solver.certified_optimal());
+                assert!(solver.best_allocation().unwrap().verify(&apps).unwrap());
+            }
 
-        // Pre-cancelled token: same ladder.
-        solver.set_node_budget(None);
-        let token = crate::CancelToken::new();
-        token.cancel();
-        solver.set_cancel_token(Some(token));
-        assert_eq!(solver.solve_in_place(), solver.incumbent_bound());
-        assert!(!solver.certified_optimal());
+            // An armed but un-cancelled token leaves the result unchanged.
+            solver.set_node_budget(None);
+            let token = crate::CancelToken::new();
+            solver.set_cancel_token(Some(token.clone()));
+            assert_eq!(solver.solve_in_place(), exact);
+            assert!(solver.certified_optimal());
 
-        // Clearing both restores the certified optimum.
-        solver.set_cancel_token(None);
-        assert_eq!(solver.solve_in_place(), exact);
-        assert!(solver.certified_optimal());
+            // Pre-cancelled token: same ladder.
+            token.cancel();
+            assert_eq!(solver.solve_in_place(), solver.incumbent_bound());
+            assert!(!solver.certified_optimal());
+
+            // Clearing both restores the certified optimum, bit for bit —
+            // cut solves never corrupt solver state.
+            solver.set_cancel_token(None);
+            assert_eq!(solver.solve_in_place(), exact);
+            assert!(solver.certified_optimal());
+            assert_eq!(solver.best_allocation().unwrap(), exact_allocation);
+        }
     }
 
     #[test]
@@ -651,10 +430,26 @@ mod tests {
             max_slots: 3,
             ..AllocatorConfig::default()
         };
+        // An application that misses its deadline even alone: no greedy or
+        // restart incumbent exists.
+        let impossible =
+            vec![AppTimingParams::new("X", 10.0, 0.2, 0.39, 3.97, 0.64, 0.69).unwrap()];
+        let cancelled = crate::CancelToken::new();
+        cancelled.cancel();
         for threads in [1, 3] {
-            let result =
-                allocate_slots_portfolio(&apps, &config, &PortfolioConfig::with_threads(threads));
+            let portfolio = PortfolioConfig::with_threads(threads);
+            let result = allocate_slots_portfolio(&apps, &config, &portfolio);
             assert!(matches!(result, Err(SchedError::NoFeasibleAllocation { max_slots: 3 })));
+
+            let default = AllocatorConfig::default();
+            let mut solver = PortfolioAllocator::new(&impossible, &default, &portfolio).unwrap();
+            assert_eq!(solver.incumbent_bound(), None);
+            assert!(matches!(solver.solve(), Err(SchedError::NoFeasibleAllocation { .. })));
+            // A cut search with no incumbent has no answer at all: solve()
+            // reports the cut, not infeasibility.
+            solver.set_cancel_token(Some(cancelled.clone()));
+            assert!(matches!(solver.solve(), Err(SchedError::SearchCancelled { .. })));
+            assert!(!solver.certified_optimal());
         }
     }
 }

@@ -1,19 +1,18 @@
-//! Parallel portfolio branch-and-bound: the scaled exact allocator.
+//! Portfolio branch-and-bound: the exact allocator's one driver.
 //!
-//! The portfolio returns **bit-identical optima to the sequential
-//! [`super::OptimalAllocator`] for every worker count**. That guarantee is
-//! engineered, not incidental, and rests on one characterisation of the
-//! sequential answer (both solvers share `dfs`, the deadness test and the
-//! valid lower bounds of [`super::bounds`]):
+//! The portfolio returns **bit-identical optima to the sequential reference
+//! [`super::allocate_slots_optimal`] for every worker count**. That
+//! guarantee is engineered, not incidental, and rests on one
+//! characterisation of the reference answer (both share `dfs`, the
+//! deadness test and the valid lower bounds of [`super::bounds`]):
 //!
-//! > The sequential solver returns the greedy three-strategy seed when the
-//! > seed's slot count equals the optimum `k*`; otherwise it returns the
-//! > **first feasible leaf with `k*` slots in restricted-growth DFS
-//! > order**. (Valid lower-bound pruning can never cut the path to that
-//! > leaf — along it the floor never exceeds `k*`, while a cut requires
-//! > the floor to reach the incumbent, which stays `> k*` until an optimal
-//! > leaf is recorded — and dead-slot pruning never fires on the path to
-//! > any feasible leaf.)
+//! > The reference returns the greedy three-strategy seed when the seed's
+//! > slot count equals the optimum `k*`; otherwise it returns the **first
+//! > feasible leaf with `k*` slots in restricted-growth DFS order**. (Valid
+//! > lower-bound pruning can never cut the path to that leaf — along it the
+//! > floor never exceeds `k*`, while a cut requires the floor to reach the
+//! > incumbent, which stays `> k*` until an optimal leaf is recorded — and
+//! > dead-slot pruning never fires on the path to any feasible leaf.)
 //!
 //! The parallel solve therefore never races on an assignment, only on a
 //! *count*:
@@ -36,14 +35,16 @@
 //!    budgets and the cancellation token aggregate across workers through
 //!    one shared atomic counter.
 //! 4. **Reconstruction.** If the seed already attains `k*`, the seed is
-//!    the answer (exactly as in the sequential solver). Otherwise one
+//!    the answer (exactly as in the reference). Otherwise one
 //!    deterministic sequential `dfs` pruned at `floor > k*` re-derives the
-//!    first feasible `k*`-leaf in DFS order — provably the sequential
-//!    solver's answer — and stops there.
+//!    first feasible `k*`-leaf in DFS order — provably the reference's
+//!    answer — and stops there.
 //!
 //! A solve cut by the aggregate budget or the token keeps the degradation
-//! incumbent and reports `certified_optimal() == false`, mirroring the
-//! sequential degradation ladder the design service relies on.
+//! incumbent and reports `certified_optimal() == false`: the degradation
+//! ladder the design service relies on. With one worker every phase runs
+//! on the calling thread, so the node count is deterministic and the solve
+//! allocation-free.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -55,32 +56,28 @@ use crate::error::{Result, SchedError};
 use super::bounds;
 use super::search::{dfs, seed_greedy, Driver, Flow, Problem, SearchState, SlotStatus};
 
-/// Tuning knobs of the [`PortfolioAllocator`]. The defaults are the
-/// configuration every production caller uses; tests pin worker counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Number of randomized-priority-order first-fit restarts seeding the
+/// shared upper bound.
+const RESTARTS: u64 = 8;
+/// Base seed of the restart schedule's splitmix64 stream (restart `r`
+/// always builds the same order).
+const RESTART_SEED: u64 = 0x5DEECE66D;
+
+/// Worker-count knob of the [`PortfolioAllocator`]. The default,
+/// `threads = 0`, resolves to the machine's available parallelism; tests
+/// and latency-bound callers pin a count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PortfolioConfig {
     /// Worker threads for the count search. `0` resolves to the machine's
     /// available parallelism; `1` runs every phase on the calling thread
     /// (no spawn — the allocation-free configuration).
     pub threads: usize,
-    /// Number of randomized-priority-order greedy restarts seeding the
-    /// shared upper bound (deterministic: restart `r` of a given `seed`
-    /// always builds the same order).
-    pub restarts: usize,
-    /// Base seed of the restart schedule's splitmix64 stream.
-    pub seed: u64,
-}
-
-impl Default for PortfolioConfig {
-    fn default() -> Self {
-        PortfolioConfig { threads: 0, restarts: 8, seed: 0x5DEECE66D }
-    }
 }
 
 impl PortfolioConfig {
     /// A portfolio pinned to `threads` workers (0 = auto).
     pub fn with_threads(threads: usize) -> Self {
-        PortfolioConfig { threads, ..PortfolioConfig::default() }
+        PortfolioConfig { threads }
     }
 
     /// The worker count this configuration resolves to on this machine.
@@ -112,9 +109,11 @@ struct BudgetRef<'s> {
 }
 
 impl BudgetRef<'_> {
-    /// Counts one node; `false` once the aggregate budget fired (same
-    /// `>=` semantics as the sequential solver: a budget of 1 cuts at the
-    /// root).
+    /// Counts one node; `false` once the aggregate budget fired. `>=` so
+    /// that a budget of 1 cuts at the root: a cut solve always degrades,
+    /// and no budget is small enough to certify by accident. (The wire
+    /// protocol reserves 0 for "unbounded", so 1 is the smallest budget a
+    /// service request can carry.)
     fn enter(&self) -> bool {
         let entered = self.nodes.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(budget) = self.budget {
@@ -293,11 +292,13 @@ fn drain_frontier(
     }
 }
 
-/// Parallel exact minimum-slot allocator: a portfolio-seeded,
-/// work-distributed branch-and-bound that returns **bit-identical results
-/// to [`super::OptimalAllocator`] for every worker count** (same slot
-/// count, same deterministically-tie-broken assignment, same
-/// feasible/infeasible verdicts on exhausted solves).
+/// Exact minimum-slot allocator: a portfolio-seeded, work-distributed
+/// branch-and-bound that returns **bit-identical results to the sequential
+/// reference [`super::allocate_slots_optimal`] for every worker count**
+/// (same slot count, same deterministically-tie-broken assignment, same
+/// feasible/infeasible verdicts on exhausted solves). The `strategy` field
+/// of the allocator configuration is ignored — the search covers *all*
+/// packings.
 ///
 /// Construction validates the fleet, seeds the incumbent (greedy
 /// strategies plus the restart schedule) and sizes every worker state and
@@ -313,7 +314,7 @@ pub struct PortfolioAllocator<'a> {
     /// restart succeeded) — an upper bound for phase 1, never an answer.
     restart_bound: usize,
     /// The greedy three-strategy seed: the certified answer whenever its
-    /// count equals the optimum (the sequential solver's rule).
+    /// count equals the optimum (the reference's rule).
     seed_slots: Vec<Vec<usize>>,
     seed_used: usize,
     /// Degradation incumbent: best of seed + restarts, deterministic
@@ -376,10 +377,9 @@ impl<'a> PortfolioAllocator<'a> {
         if precheck_ok {
             let restart_config = problem.config_with(AllocationStrategy::FirstFit);
             let mut shuffled = problem.order.clone();
-            for restart in 0..portfolio.restarts {
-                let mut rng = portfolio
-                    .seed
-                    .wrapping_add((restart as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            for restart in 0..RESTARTS {
+                let mut rng =
+                    RESTART_SEED.wrapping_add((restart + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 shuffled.copy_from_slice(&problem.order);
                 for i in (1..shuffled.len()).rev() {
                     let j = (splitmix64(&mut rng) % (i as u64 + 1)) as usize;
@@ -442,8 +442,8 @@ impl<'a> PortfolioAllocator<'a> {
     }
 
     /// The slot count of the greedy three-strategy seed, if any greedy
-    /// strategy succeeded (the count [`super::OptimalAllocator`] would
-    /// report as its greedy bound).
+    /// strategy succeeded (the incumbent the sequential reference starts
+    /// from).
     pub fn greedy_bound(&self) -> Option<usize> {
         (self.seed_used != usize::MAX).then_some(self.seed_used)
     }
@@ -479,9 +479,13 @@ impl<'a> PortfolioAllocator<'a> {
         self.cancel = token;
     }
 
-    /// Caps the *aggregate* node count across all workers and phases; the
-    /// same `>=` semantics as the sequential solver, so a budget of 1 cuts
-    /// at the root and always degrades.
+    /// Caps the *aggregate* node count across all workers and phases: the
+    /// solve cuts once `budget` nodes have been entered, so a budget of 1
+    /// cuts at the root and always degrades (`None`, the default, is
+    /// unbounded). A cut behaves exactly like cancellation — incumbent
+    /// kept, [`PortfolioAllocator::certified_optimal`] reports `false` —
+    /// but is a *deterministic* trigger, which is what the service's tests
+    /// pin degradation behaviour on.
     pub fn set_node_budget(&mut self, budget: Option<u64>) {
         self.node_budget = budget;
     }
@@ -586,7 +590,7 @@ impl<'a> PortfolioAllocator<'a> {
             return None;
         }
         if *seed_used == optimum {
-            // The sequential rule: a seed matching the optimum *is* the
+            // The reference's rule: a seed matching the optimum *is* the
             // answer (the search never records a non-improving leaf).
             *best_used = optimum;
             for (best, slot) in best_slots.iter_mut().zip(&*seed_slots).take(optimum) {
@@ -597,8 +601,8 @@ impl<'a> PortfolioAllocator<'a> {
         }
 
         // Phase 2: deterministic reconstruction of the first feasible
-        // `optimum`-slot leaf in DFS order — the sequential solver's
-        // assignment — under the same aggregate budget.
+        // `optimum`-slot leaf in DFS order — the reference's assignment —
+        // under the same aggregate budget.
         first.reset();
         let mut found = false;
         let mut driver = ReconstructDriver {
@@ -649,9 +653,9 @@ impl<'a> PortfolioAllocator<'a> {
 }
 
 /// Allocates the applications to TT slots with the *minimum possible* slot
-/// count, like [`super::allocate_slots_optimal`], but distributing the
-/// search over `portfolio` workers. Bit-identical to the sequential result
-/// for every worker count.
+/// count, distributing the search over `portfolio` workers: the exact
+/// allocator every production path runs. Bit-identical to the sequential
+/// reference [`super::allocate_slots_optimal`] for every worker count.
 ///
 /// # Errors
 ///

@@ -1,4 +1,4 @@
-//! Search core shared by the sequential and parallel exact allocators.
+//! Search core shared by the exact allocator and its sequential reference.
 //!
 //! The core separates the three ingredients every solver mode combines:
 //!
@@ -10,7 +10,7 @@
 //!   construction so a solve never allocates.
 //! * [`Driver`] — the policy object a depth-first [`dfs`] consults at every
 //!   node: where the incumbent bound comes from (a plain field for the
-//!   sequential solver, a shared atomic for portfolio workers), how nodes
+//!   sequential reference, a shared atomic for portfolio workers), how nodes
 //!   are counted against budgets, and what happens at a feasible leaf
 //!   (record-and-continue, or stop — the reconstruction mode).
 //!

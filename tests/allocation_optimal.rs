@@ -1,31 +1,33 @@
 //! Oracle suite for the exact branch-and-bound slot allocator.
 //!
-//! The solver claims a *true minimum*; this suite pins that claim against an
-//! independent cross-crate oracle: exhaustive enumeration of **every** set
-//! partition of the fleet (restricted-growth canonical form), with each
-//! candidate partition judged by the public `SlotAllocation::verify` — the
-//! same cross-checked analysis the rest of the workspace trusts. The
-//! branch-and-bound result must match the enumerated minimum on every fleet,
-//! under every dwell model × wait-time method combination.
+//! The exact allocator is `PortfolioAllocator`; `allocate_slots_optimal` is
+//! its sequential reference. Both claim a *true minimum*; this suite pins
+//! that claim against an independent cross-crate oracle: exhaustive
+//! enumeration of **every** set partition of the fleet (restricted-growth
+//! canonical form), with each candidate partition judged by the public
+//! `SlotAllocation::verify` — the same cross-checked analysis the rest of
+//! the workspace trusts. The branch-and-bound result must match the
+//! enumerated minimum on every fleet, under every dwell model × wait-time
+//! method combination.
 //!
 //! The suite also commits the fixture behind the headline design claim: a
 //! fleet on which *all twelve* greedy heuristics of
 //! `AllocatorConfig::sweep_matrix` are strictly suboptimal, and only the
 //! exact search finds the 2-slot packing.
 //!
-//! Since the portfolio scale-out, the suite also gates the parallel solver:
-//! for every oracle case — the original small-fleet grid *and* new 8–10
-//! application fleets — the portfolio must return the **bit-identical**
-//! `SlotAllocation` (same slot count *and* same deterministically
-//! tie-broken assignment) for every worker count 1..=8, and a property
-//! test pins the conflict-clique lower bound below the true optimum.
+//! The suite also gates the portfolio against the reference: for every
+//! oracle case — the small-fleet grid *and* 8–10 application fleets — the
+//! portfolio must return the **bit-identical** `SlotAllocation` (same slot
+//! count *and* same deterministically tie-broken assignment) for every
+//! worker count 1..=8, and a property test pins the conflict-clique lower
+//! bound below the true optimum.
 //!
 //! `ci.sh` fails if this file stops being collected — the optimality story
 //! rests on it.
 
 use automotive_cps::sched::{
     allocate_slots, allocate_slots_optimal, allocate_slots_portfolio, AllocatorConfig,
-    AppTimingParams, ModelKind, OptimalAllocator, PortfolioConfig, SlotAllocation, SlotTiming,
+    AppTimingParams, ModelKind, PortfolioAllocator, PortfolioConfig, SlotAllocation, SlotTiming,
     WaitTimeMethod,
 };
 use proptest::prelude::*;
@@ -418,7 +420,9 @@ proptest! {
     ) {
         let apps = random_fleet(n, seed as u64);
         let config = analysis_configs(n)[config_index];
-        let mut solver = OptimalAllocator::new(&apps, &config).expect("solver builds");
+        let mut solver =
+            PortfolioAllocator::new(&apps, &config, &PortfolioConfig::with_threads(1))
+                .expect("solver builds");
         let clique = solver.clique_lower_bound();
         if let Some(optimum) = solver.solve_in_place() {
             prop_assert!(
@@ -441,7 +445,9 @@ fn greedy_bound_is_always_met_or_beaten() {
         for seed in 100..106 {
             let apps = random_fleet(n, seed * 7919 + n as u64);
             for config in analysis_configs(n) {
-                let mut solver = OptimalAllocator::new(&apps, &config).expect("solver builds");
+                let mut solver =
+                    PortfolioAllocator::new(&apps, &config, &PortfolioConfig::with_threads(1))
+                        .expect("solver builds");
                 let greedy = solver.greedy_bound();
                 let solved = solver.solve_in_place();
                 if let (Some(greedy), Some(optimal)) = (greedy, solved) {

@@ -7,14 +7,13 @@
 //! `CharacterizationWorkspace` scratch the fleet designer threads through
 //! its characterisation passes — and across the branch-and-bound
 //! slot-allocation search: every inner node evaluation (streaming
-//! schedulability check plus demand and clique bounds) and the full
-//! `OptimalAllocator::solve_in_place` run on buffers sized at construction.
-//! The parallel portfolio gets the same proof in its single-worker
-//! configuration (`threads = 1` spawns nothing and drains the frontier
-//! inline, so the counted thread *is* the worker): frontier generation,
-//! the count search with live shared-incumbent updates, and the
+//! schedulability check plus demand and clique bounds) runs on buffers
+//! sized at construction. The exact allocator is proven in its
+//! single-worker configuration (`threads = 1` spawns nothing and drains the
+//! frontier inline, so the counted thread *is* the worker): frontier
+//! generation, the count search with live shared-incumbent updates, and the
 //! deterministic reconstruction pass are all allocation-free after the
-//! warm-up solve.
+//! warm-up solve, under both safe dwell models and both wait-time methods.
 //!
 //! This file must stay a single-test binary: the allocation counter is
 //! global to the process, and a concurrently running second test would
@@ -34,8 +33,8 @@ use automotive_cps::linalg::{
     expm_into, solve_dare_in_place, DareOptions, ExpmWorkspace, Matrix, RiccatiWorkspace,
 };
 use automotive_cps::sched::{
-    AllocatorConfig, CancelToken, ModelKind, OptimalAllocator, PortfolioAllocator,
-    PortfolioConfig, WaitTimeMethod,
+    AllocatorConfig, CancelToken, ModelKind, PortfolioAllocator, PortfolioConfig,
+    WaitTimeMethod,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -198,56 +197,25 @@ fn kernel_and_runtime_hot_paths_do_not_allocate() {
     assert_eq!(workspace.state_pool_size(), state_entries, "warm pool must not grow");
     assert_eq!(workspace.power_pool_size(), power_entries, "warm pool must not grow");
 
-    // Branch-and-bound slot allocation: construction (priority order,
-    // demand table, slot pool, greedy incumbent seed) may allocate; the
-    // search itself — every inner node's schedulability check and
-    // demand-relaxation bound included — must not. Solved repeatedly to
-    // amplify any per-node allocation, across both wait-time methods and
-    // both safe dwell models. The fail-operational service arms every solve
-    // with a cancellation token and a node budget, so the search runs with
-    // both checkpoints live: each is an atomic load / counter compare and
-    // must stay allocation-free too (token construction is outside the
-    // measured window).
+    // Branch-and-bound slot allocation, single-worker portfolio:
+    // construction (priority order, demand table, slot pool, greedy and
+    // restart seeding) may allocate; the search itself must not. One
+    // worker spawns no threads — frontier generation, the count search
+    // (every inner node's schedulability check and demand/clique bounds,
+    // shared atomic incumbent updates included) and the answer phase all
+    // run inline on the counted thread. Solved repeatedly to amplify any
+    // per-node allocation, across both safe dwell models and both
+    // wait-time methods. Two fleets cover both answer phases: on the paper
+    // fleet the greedy seed *is* the optimum (the seed-copy path), while on
+    // the trap fleet below the seed is strictly suboptimal under the
+    // default analysis, so those solves run the deterministic
+    // reconstruction DFS too. The fail-operational
+    // service arms every solve with a cancellation token and a node budget,
+    // so the search runs with both checkpoints live: each is an atomic load
+    // / counter compare and must stay allocation-free too (token
+    // construction is outside the measured window).
     let table = case_study::paper_table1();
     let token = CancelToken::new();
-    for model in [ModelKind::NonMonotonic, ModelKind::ConservativeMonotonic] {
-        for method in [WaitTimeMethod::ClosedFormBound, WaitTimeMethod::ExactFixedPoint] {
-            let config = AllocatorConfig { model, method, ..AllocatorConfig::default() };
-            let mut solver = OptimalAllocator::new(&table, &config).expect("solver builds");
-            solver.set_cancel_token(Some(token.clone()));
-            solver.set_node_budget(Some(u64::MAX));
-            // Warm-up solve (also proves idempotence below).
-            let warm = solver.solve_in_place().expect("paper fleet is schedulable");
-
-            let before = ALLOCATIONS.load(Ordering::SeqCst);
-            let mut slots_checksum = 0usize;
-            for _ in 0..200 {
-                slots_checksum +=
-                    solver.solve_in_place().expect("paper fleet is schedulable");
-            }
-            let after = ALLOCATIONS.load(Ordering::SeqCst);
-
-            assert_eq!(slots_checksum, warm * 200, "solver must be deterministic");
-            assert!(solver.nodes_explored() > 0);
-            assert_eq!(
-                after - before,
-                0,
-                "the branch-and-bound search performed {} heap allocations over 200 \
-                 solves ({model:?}/{method:?})",
-                after - before
-            );
-        }
-    }
-
-    // Portfolio search, single-worker configuration: `threads = 1` spawns
-    // no worker threads — frontier generation, the count search (shared
-    // atomic incumbent updates included) and the answer phase all run
-    // inline on the counted thread, on buffers sized at construction
-    // (greedy + restart seeding included). Two fleets cover both answer
-    // phases: on the paper fleet the greedy seed *is* the optimum (the
-    // seed-copy path), while on the trap fleet below the seed is strictly
-    // suboptimal, so every solve runs the deterministic reconstruction
-    // DFS too. Token and budget armed, as in the design service.
     let trap_fleet: Vec<_> = [
         ("A1", 0.8, 2.00),
         ("A2", 0.8, 2.01),
@@ -261,30 +229,39 @@ fn kernel_and_runtime_hot_paths_do_not_allocate() {
     })
     .collect();
     for (fleet, label) in [(&table, "paper"), (&trap_fleet, "trap")] {
-        let config = AllocatorConfig { max_slots: fleet.len(), ..AllocatorConfig::default() };
-        let mut solver =
-            PortfolioAllocator::new(fleet, &config, &PortfolioConfig::with_threads(1))
-                .expect("portfolio builds");
-        solver.set_cancel_token(Some(token.clone()));
-        solver.set_node_budget(Some(u64::MAX));
-        let warm = solver.solve_in_place().expect("fleet is schedulable");
+        for model in [ModelKind::NonMonotonic, ModelKind::ConservativeMonotonic] {
+            for method in [WaitTimeMethod::ClosedFormBound, WaitTimeMethod::ExactFixedPoint] {
+                let config = AllocatorConfig {
+                    model,
+                    method,
+                    max_slots: fleet.len(),
+                    ..AllocatorConfig::default()
+                };
+                let mut solver =
+                    PortfolioAllocator::new(fleet, &config, &PortfolioConfig::with_threads(1))
+                        .expect("portfolio builds");
+                solver.set_cancel_token(Some(token.clone()));
+                solver.set_node_budget(Some(u64::MAX));
+                let warm = solver.solve_in_place().expect("fleet is schedulable");
 
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        let mut slots_checksum = 0usize;
-        for _ in 0..200 {
-            slots_checksum += solver.solve_in_place().expect("fleet is schedulable");
+                let before = ALLOCATIONS.load(Ordering::SeqCst);
+                let mut slots_checksum = 0usize;
+                for _ in 0..200 {
+                    slots_checksum += solver.solve_in_place().expect("fleet is schedulable");
+                }
+                let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+                assert_eq!(slots_checksum, warm * 200, "portfolio must be deterministic");
+                assert!(solver.nodes_explored() > 0);
+                assert_eq!(
+                    after - before,
+                    0,
+                    "the single-worker portfolio search performed {} heap allocations over \
+                     200 solves ({label} fleet, {model:?}/{method:?})",
+                    after - before
+                );
+            }
         }
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
-
-        assert_eq!(slots_checksum, warm * 200, "portfolio must be deterministic");
-        assert!(solver.nodes_explored() > 0);
-        assert_eq!(
-            after - before,
-            0,
-            "the single-worker portfolio search performed {} heap allocations over \
-             200 solves ({label} fleet)",
-            after - before
-        );
     }
 
     // Fleet-designer steady-state loop: the two solvers every controller
