@@ -1,8 +1,10 @@
 //! Integration tests for the fault-injection + streaming-campaign layer:
 //! worker-count determinism of `CampaignStats`, reset-and-rerun bit-identity
 //! under active fault models, agreement of the streaming metrics path with
-//! the full trace path, P² sketch rank-error bounds (property-based), and
-//! the statistical model-checking readout.
+//! the full trace path, P² sketch rank-error bounds (property-based), the
+//! statistical model-checking readout, and a committed golden fixture that
+//! pins a faulty campaign across commits
+//! (`tests/fixtures/campaign_golden.txt`).
 //!
 //! The `#[ignore]`d `million_scenario_campaign_streams` test is the
 //! acceptance check that a 10^6-scenario campaign completes in O(workers)
@@ -174,6 +176,57 @@ fn settling_probability_readout_is_coherent() {
     let family = &stats.families[0];
     let (lower, upper) = clopper_pearson(family.deadlines_met, family.scenarios, 0.05);
     assert_eq!((narrow[0].lower, narrow[0].upper), (lower, upper));
+}
+
+/// Renders the campaign golden fixture: the exact `Debug` rendering of the
+/// `CampaignStats` of the `examples/robustness_campaign` sweep — bursts,
+/// corruption, dynamic contention and sensor noise over six drop
+/// intensities, at the example's campaign seed — on a shorter horizon and
+/// fewer scenarios per intensity. `Debug` prints every `f64` in its
+/// shortest round-trip form, so equal text means bit-equal accumulators.
+fn render_campaign_golden() -> String {
+    let sweep = RobustnessSweep::new(vec![0.0, 0.05, 0.1, 0.2, 0.4, 0.8], 10, 6.0)
+        .with_disturbance_range(0.8, 1.2)
+        .with_burst(GilbertElliott {
+            degrade_probability: 0.1,
+            recover_probability: 0.4,
+            bad_drop_probability: 0.8,
+        })
+        .with_corruption(0.01)
+        .with_dynamic_contention(6)
+        .with_sensor_noise(0.01);
+    let stats = RobustnessCampaign::new(fleet(), 2019).run(&sweep).expect("golden campaign");
+    format!(
+        "# Golden faulty-campaign fixture. Regenerate with:\n\
+         #   CPS_GOLDEN_REGEN=1 cargo test --test robustness_campaign campaign_golden\n\
+         {stats:#?}\n"
+    )
+}
+
+/// Pins a faulty campaign across commits (the worker-count suite above only
+/// checks self-consistency within one build): any change to the bus, the
+/// fault layer's draw order, the engine or the streaming aggregation that
+/// moves a single accumulator bit fails here.
+#[test]
+fn campaign_golden_fixture_replays_bit_identically() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/campaign_golden.txt");
+    let rendered = render_campaign_golden();
+    if std::env::var("CPS_GOLDEN_REGEN").is_ok() {
+        std::fs::write(path, &rendered).expect("fixture written");
+        return;
+    }
+    let committed = std::fs::read_to_string(path)
+        .expect("committed fixture exists (regenerate with CPS_GOLDEN_REGEN=1)");
+    for (index, (got, want)) in rendered.lines().zip(committed.lines()).enumerate() {
+        assert_eq!(
+            got,
+            want,
+            "campaign golden fixture diverges at line {} — the faulty campaign no longer \
+             replays bit-identically",
+            index + 1
+        );
+    }
+    assert_eq!(rendered.lines().count(), committed.lines().count());
 }
 
 proptest! {
