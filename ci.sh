@@ -194,6 +194,20 @@ if ! cargo test -q -p automotive-cps --test scenario_batch -- --list \
     exit 1
 fi
 
+# The bus differential suite pins the dense-table FlexRayBus to the original
+# BTreeMap simulator, kept in the suite as a test-only oracle: random op
+# sequences with and without fault models, plus the co-simulation traffic
+# pattern. Check both comparisons by name, so neither can silently drop out.
+step "bus differential suite is collected (tests/flexray_bus_reference.rs)"
+bus_tests="$(cargo test -q -p automotive-cps --test flexray_bus_reference -- --list)"
+for identity in dense_bus_matches_the_reference_on_random_op_sequences \
+                dense_bus_matches_the_reference_on_the_cosimulation_pattern; do
+    if ! grep -- "^$identity: test" > /dev/null <<<"$bus_tests"; then
+        echo "ERROR: flexray_bus_reference lost its differential test '$identity'" >&2
+        exit 1
+    fi
+done
+
 # The design-service suite carries every fail-operational guarantee the serve
 # crate makes (bit-identical nominal path, load shedding, panic isolation,
 # deterministic chaos replay); same reasoning, same gate. The scenario matrix

@@ -22,14 +22,6 @@ use crate::error::{FlexRayError, Result};
 use crate::fault::FaultModel;
 use crate::frame::{Frame, Segment, Transmission};
 use crate::rng::SimRng;
-use std::collections::BTreeMap;
-
-/// A queued, not yet transmitted payload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct PendingTransmission {
-    frame_id: u32,
-    queued_at: f64,
-}
 
 /// Counters describing bus usage, updated as the simulation advances.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -66,11 +58,24 @@ impl BusStatistics {
 }
 
 /// The FlexRay bus simulator.
+///
+/// Frames live in dense tables indexed by their position in `frames`, which
+/// is kept sorted by identifier: iterating indices in order *is* the
+/// dynamic-segment arbitration order, and the public by-identifier methods
+/// are thin lookups into these tables. A cycle therefore needs no map
+/// lookup, owner scan, sort or queue compaction.
 #[derive(Debug, Clone)]
 pub struct FlexRayBus {
     config: FlexRayConfig,
-    frames: BTreeMap<u32, Frame>,
-    pending: Vec<PendingTransmission>,
+    /// Registered frames, sorted by identifier.
+    frames: Vec<Frame>,
+    /// Per static slot: index of the frame currently owning it.
+    slot_owner: Vec<Option<usize>>,
+    /// Per frame: queueing time of its pending payload (a re-queue replaces
+    /// the stale payload, so there is at most one).
+    pending: Vec<Option<f64>>,
+    /// Per frame: transmission attempts lost to the fault layer.
+    losses: Vec<u64>,
     log: Vec<Transmission>,
     statistics: BusStatistics,
     completed_cycles: u64,
@@ -81,15 +86,9 @@ pub struct FlexRayBus {
     fault_rng: SimRng,
     /// Current Gilbert–Elliott channel state (`true` = bad/bursty).
     burst_bad: bool,
-    /// Per-frame lost-transmission counters, filled at registration; linear
-    /// search keeps the hot path allocation- and hash-free (fleets register
-    /// a handful of frames).
-    frame_losses: Vec<(u32, u64)>,
     /// Whether completed transmissions are appended to the log. Streaming
     /// campaigns disable this so a long run stays O(1) in memory.
     logging: bool,
-    /// Reusable scratch for the dynamic-segment arbitration order.
-    dynamic_scratch: Vec<PendingTransmission>,
 }
 
 impl FlexRayBus {
@@ -103,17 +102,17 @@ impl FlexRayBus {
         config.validate()?;
         Ok(FlexRayBus {
             config,
-            frames: BTreeMap::new(),
+            frames: Vec::new(),
+            slot_owner: vec![None; config.static_slot_count],
             pending: Vec::new(),
+            losses: Vec::new(),
             log: Vec::new(),
             statistics: BusStatistics::default(),
             completed_cycles: 0,
             fault: None,
             fault_rng: SimRng::seeded(0),
             burst_bad: false,
-            frame_losses: Vec::new(),
             logging: true,
-            dynamic_scratch: Vec::new(),
         })
     }
 
@@ -172,14 +171,22 @@ impl FlexRayBus {
         self.logging
     }
 
+    /// Dense index of `frame_id`, or `Err(insertion point)` if unregistered.
+    fn index_of(&self, frame_id: u32) -> std::result::Result<usize, usize> {
+        self.frames.binary_search_by_key(&frame_id, |frame| frame.id)
+    }
+
+    /// Dense index of a registered frame.
+    fn registered(&self, frame_id: u32) -> Result<usize> {
+        self.index_of(frame_id).map_err(|_| FlexRayError::InvalidFrame {
+            reason: format!("frame id {frame_id} is not registered"),
+        })
+    }
+
     /// Number of transmission attempts of `frame_id` lost to the fault layer
     /// (drops plus detected corruptions) since the last reset.
     pub fn losses_of(&self, frame_id: u32) -> u64 {
-        self.frame_losses
-            .iter()
-            .find(|(id, _)| *id == frame_id)
-            .map(|(_, losses)| *losses)
-            .unwrap_or(0)
+        self.index_of(frame_id).map_or(0, |index| self.losses[index])
     }
 
     /// Registers a frame on the bus.
@@ -191,11 +198,11 @@ impl FlexRayBus {
     /// is already owned by another frame, or the frame needs more minislots
     /// than the dynamic segment offers.
     pub fn register_frame(&mut self, frame: Frame) -> Result<()> {
-        if self.frames.contains_key(&frame.id) {
+        let Err(index) = self.index_of(frame.id) else {
             return Err(FlexRayError::InvalidFrame {
                 reason: format!("frame id {} is already registered", frame.id),
             });
-        }
+        };
         if frame.dynamic_minislots > self.config.minislot_count {
             return Err(FlexRayError::InvalidFrame {
                 reason: format!(
@@ -207,23 +214,35 @@ impl FlexRayBus {
         if let Segment::Static { slot } = frame.segment {
             self.validate_static_assignment(frame.id, slot)?;
         }
-        self.frame_losses.push((frame.id, 0));
-        self.frames.insert(frame.id, frame);
+        // Frames behind the insertion point shift up one index.
+        for owner in self.slot_owner.iter_mut().flatten() {
+            if *owner >= index {
+                *owner += 1;
+            }
+        }
+        if let Segment::Static { slot } = frame.segment {
+            self.slot_owner[slot] = Some(index);
+        }
+        self.frames.insert(index, frame);
+        self.pending.insert(index, None);
+        self.losses.insert(index, 0);
         Ok(())
     }
 
     fn validate_static_assignment(&self, frame_id: u32, slot: usize) -> Result<()> {
         self.config.static_slot_start(slot)?;
-        if let Some(owner) = self
-            .frames
-            .values()
-            .find(|f| f.id != frame_id && f.segment == Segment::Static { slot })
-        {
-            return Err(FlexRayError::InvalidFrame {
-                reason: format!("static slot {slot} is already owned by frame {}", owner.id),
-            });
+        match self.slot_owner(slot) {
+            Some(owner) if owner != frame_id => Err(FlexRayError::InvalidFrame {
+                reason: format!("static slot {slot} is already owned by frame {owner}"),
+            }),
+            _ => Ok(()),
         }
-        Ok(())
+    }
+
+    /// Identifier of the frame currently owning static slot `slot`, if any
+    /// (`None` also for slots outside the static segment).
+    pub fn slot_owner(&self, slot: usize) -> Option<u32> {
+        self.slot_owner.get(slot).copied().flatten().map(|index| self.frames[index].id)
     }
 
     /// Moves a frame between the static and dynamic segments — the bus-level
@@ -236,23 +255,23 @@ impl FlexRayBus {
     /// Returns [`FlexRayError::InvalidFrame`] if the frame is unknown or the
     /// requested static slot is invalid or occupied.
     pub fn reassign_frame(&mut self, frame_id: u32, segment: Segment) -> Result<()> {
-        if !self.frames.contains_key(&frame_id) {
-            return Err(FlexRayError::InvalidFrame {
-                reason: format!("frame id {frame_id} is not registered"),
-            });
-        }
+        let index = self.registered(frame_id)?;
         if let Segment::Static { slot } = segment {
             self.validate_static_assignment(frame_id, slot)?;
         }
-        if let Some(frame) = self.frames.get_mut(&frame_id) {
-            frame.segment = segment;
+        if let Segment::Static { slot } = self.frames[index].segment {
+            self.slot_owner[slot] = None;
         }
+        if let Segment::Static { slot } = segment {
+            self.slot_owner[slot] = Some(index);
+        }
+        self.frames[index].segment = segment;
         Ok(())
     }
 
     /// Returns the frame registered under `frame_id`, if any.
     pub fn frame(&self, frame_id: u32) -> Option<&Frame> {
-        self.frames.get(&frame_id)
+        self.index_of(frame_id).ok().map(|index| &self.frames[index])
     }
 
     /// Queues a payload of `frame_id` for transmission at time `queued_at`.
@@ -264,20 +283,16 @@ impl FlexRayBus {
     ///
     /// Returns [`FlexRayError::InvalidFrame`] if the frame is unknown.
     pub fn queue_message(&mut self, frame_id: u32, queued_at: f64) -> Result<()> {
-        if !self.frames.contains_key(&frame_id) {
-            return Err(FlexRayError::InvalidFrame {
-                reason: format!("frame id {frame_id} is not registered"),
-            });
-        }
-        self.pending.retain(|p| p.frame_id != frame_id);
-        self.pending.push(PendingTransmission { frame_id, queued_at });
+        let index = self.registered(frame_id)?;
+        self.pending[index] = Some(queued_at);
         Ok(())
     }
 
-    /// Routes one transmission attempt through the fault layer. Returns
-    /// `true` if the payload arrives intact; losses bump the statistics and
-    /// the per-frame counter. See [`crate::fault`] for the draw order.
-    fn transmission_survives(&mut self, frame_id: u32) -> bool {
+    /// Routes one transmission attempt of frame `index` through the fault
+    /// layer. Returns `true` if the payload arrives intact; losses bump the
+    /// statistics and the per-frame counter. See [`crate::fault`] for the
+    /// draw order.
+    fn transmission_survives(&mut self, index: usize) -> bool {
         let Some(model) = self.fault else {
             return true;
         };
@@ -297,75 +312,62 @@ impl FlexRayBus {
         };
         if self.fault_rng.next_unit() < drop_probability {
             self.statistics.dropped_frames += 1;
-            self.record_loss(frame_id);
+            self.losses[index] += 1;
             return false;
         }
         if self.fault_rng.next_unit() < model.corruption_probability {
             self.statistics.corrupted_frames += 1;
-            self.record_loss(frame_id);
+            self.losses[index] += 1;
             return false;
         }
         true
     }
 
-    fn record_loss(&mut self, frame_id: u32) {
-        if let Some(entry) = self.frame_losses.iter_mut().find(|(id, _)| *id == frame_id) {
-            entry.1 += 1;
+    /// Records a completed transmission in the log (when logging) and in
+    /// `out` (when given).
+    fn complete(&mut self, tx: Transmission, out: &mut Option<&mut Vec<Transmission>>) {
+        if self.logging {
+            self.log.push(tx);
+        }
+        if let Some(sink) = out.as_deref_mut() {
+            sink.push(tx);
         }
     }
 
     /// Simulates one full communication cycle; completed transmissions go to
-    /// the log (when logging) and to `out` (when given). Allocation-free:
-    /// the arbitration order lives in a reusable scratch buffer.
+    /// the log (when logging) and to `out` (when given). Allocation-free.
     fn cycle_into(&mut self, mut out: Option<&mut Vec<Transmission>>) {
         let cycle_start = self.time();
 
         // Static (TT) segment: each slot carries its owner's payload if one
         // was queued before the slot begins. A lost payload still consumed
         // its slot (the wire was busy), so the TDMA timetable is unaffected.
-        for slot in 0..self.config.static_slot_count {
-            let slot_start = cycle_start
-                + self.config.static_slot_start(slot).expect("slot index within configured range");
-            let owner = self
-                .frames
-                .values()
-                .find(|f| f.segment == Segment::Static { slot })
-                .map(|f| f.id);
-            let Some(owner_id) = owner else {
+        for slot in 0..self.slot_owner.len() {
+            let Some(index) = self.slot_owner[slot] else {
                 continue;
             };
-            let ready = self
-                .pending
-                .iter()
-                .position(|p| p.frame_id == owner_id && p.queued_at <= slot_start);
-            match ready {
-                Some(index) => {
-                    let request = self.pending.remove(index);
-                    if self.transmission_survives(owner_id) {
+            let slot_start = cycle_start + slot as f64 * self.config.static_slot_length;
+            match self.pending[index] {
+                Some(queued_at) if queued_at <= slot_start => {
+                    self.pending[index] = None;
+                    if self.transmission_survives(index) {
+                        self.statistics.static_transmissions += 1;
                         let tx = Transmission {
-                            frame_id: owner_id,
-                            queued_at: request.queued_at,
+                            frame_id: self.frames[index].id,
+                            queued_at,
                             completed_at: slot_start + self.config.static_slot_length,
                             used_static_slot: true,
                         };
-                        self.statistics.static_transmissions += 1;
-                        if self.logging {
-                            self.log.push(tx);
-                        }
-                        if let Some(sink) = out.as_deref_mut() {
-                            sink.push(tx);
-                        }
+                        self.complete(tx, &mut out);
                     }
                 }
-                None => {
-                    self.statistics.wasted_static_slots += 1;
-                }
+                _ => self.statistics.wasted_static_slots += 1,
             }
         }
 
         // Dynamic (ET) segment: background contention (if modelled) occupies
         // the head of the minislot budget, then pending dynamic frames
-        // arbitrate in identifier order over what is left.
+        // arbitrate in identifier (= index) order over what is left.
         let dynamic_start = cycle_start + self.config.dynamic_segment_start();
         let mut used_minislots = 0usize;
         if let Some(contention) = self.fault.and_then(|m| m.dynamic_contention) {
@@ -376,40 +378,33 @@ impl FlexRayBus {
             used_minislots = background.min(self.config.minislot_count);
             self.statistics.background_minislots += used_minislots as u64;
         }
-        let mut ready = std::mem::take(&mut self.dynamic_scratch);
-        ready.clear();
-        ready.extend(self.pending.iter().copied().filter(|p| {
-            p.queued_at <= dynamic_start
-                && self.frames.get(&p.frame_id).map(|f| !f.is_static()).unwrap_or(false)
-        }));
-        ready.sort_by_key(|p| p.frame_id);
-        for request in &ready {
-            let minislots = self.frames[&request.frame_id].dynamic_minislots;
+        for index in 0..self.frames.len() {
+            let Some(queued_at) = self.pending[index] else {
+                continue;
+            };
+            if !(queued_at <= dynamic_start) || self.frames[index].is_static() {
+                continue;
+            }
+            let minislots = self.frames[index].dynamic_minislots;
             if used_minislots + minislots > self.config.minislot_count {
                 // Does not fit any more: deferred to the next cycle.
                 self.statistics.deferred_dynamic_transmissions += 1;
                 continue;
             }
             used_minislots += minislots;
-            self.pending.retain(|p| p.frame_id != request.frame_id);
-            if self.transmission_survives(request.frame_id) {
+            self.pending[index] = None;
+            if self.transmission_survives(index) {
+                self.statistics.dynamic_transmissions += 1;
                 let tx = Transmission {
-                    frame_id: request.frame_id,
-                    queued_at: request.queued_at,
+                    frame_id: self.frames[index].id,
+                    queued_at,
                     completed_at: dynamic_start
                         + used_minislots as f64 * self.config.minislot_length,
                     used_static_slot: false,
                 };
-                self.statistics.dynamic_transmissions += 1;
-                if self.logging {
-                    self.log.push(tx);
-                }
-                if let Some(sink) = out.as_deref_mut() {
-                    sink.push(tx);
-                }
+                self.complete(tx, &mut out);
             }
         }
-        self.dynamic_scratch = ready;
 
         self.statistics.cycles += 1;
         self.completed_cycles += 1;
@@ -464,13 +459,11 @@ impl FlexRayBus {
     /// rebuilding the bus — the primitive behind `CoSimulation::reset` and
     /// the scenario/campaign engines.
     pub fn reset(&mut self) {
-        self.pending.clear();
+        self.pending.fill(None);
         self.log.clear();
         self.statistics = BusStatistics::default();
         self.completed_cycles = 0;
-        for entry in &mut self.frame_losses {
-            entry.1 = 0;
-        }
+        self.losses.fill(0);
         self.reseed_faults();
     }
 
