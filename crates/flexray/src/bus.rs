@@ -426,21 +426,44 @@ impl FlexRayBus {
         self.cycle_into(None);
     }
 
-    /// Runs full cycles until the simulation time reaches at least `time`,
-    /// returning all transmissions completed on the way.
+    /// The cycle count at which the simulation time reaches `time`: the
+    /// smallest `n` with `n · cycle_length ≥ time`, where a quotient
+    /// `time / cycle_length` within rounding error of a whole number counts
+    /// as that number. Comparing the float products instead would let
+    /// `k · period` land one cycle early or late whenever the two products
+    /// round apart — and a control loop advancing to each period end would
+    /// then run one cycle too many or too few in a period.
+    fn cycles_until(&self, time: f64) -> u64 {
+        let cycles = time / self.config.cycle_length;
+        let nearest = cycles.round();
+        let whole = (cycles - nearest).abs() <= 1e-9 * nearest.abs().max(1.0);
+        // Saturating cast: negative and NaN targets mean zero cycles.
+        (if whole { nearest } else { cycles.ceil() }) as u64
+    }
+
+    /// Runs full cycles until the simulation time reaches `time` (see
+    /// [`FlexRayBus::advance_until`] for the cycle-count rule), returning all
+    /// transmissions completed on the way.
     pub fn run_until(&mut self, time: f64) -> Vec<Transmission> {
+        let target = self.cycles_until(time);
         let mut all = Vec::new();
-        while self.time() < time {
+        while self.completed_cycles < target {
             self.cycle_into(Some(&mut all));
         }
         all
     }
 
-    /// Runs full cycles until the simulation time reaches at least `time`
-    /// without materialising transmissions — the allocation-free twin of
-    /// [`FlexRayBus::run_until`].
+    /// Runs full cycles until the simulation time reaches `time`, without
+    /// materialising transmissions — the allocation-free twin of
+    /// [`FlexRayBus::run_until`]. The target is a whole cycle count: the
+    /// first cycle boundary at or after `time`, where a boundary within
+    /// float rounding of `time` counts as reaching it. Advancing to the end
+    /// of every control period `k · period` therefore runs exactly
+    /// `period / cycle_length` cycles per period when that ratio is whole
+    /// (4 on the paper's 20 ms period over a 5 ms cycle).
     pub fn advance_until(&mut self, time: f64) {
-        while self.time() < time {
+        let target = self.cycles_until(time);
+        while self.completed_cycles < target {
             self.cycle_into(None);
         }
     }
@@ -625,6 +648,28 @@ mod tests {
         bus2.run_until(0.02);
         assert_eq!(bus2.statistics().cycles, 4);
         assert!((bus2.time() - 0.02).abs() < 1e-12);
+    }
+
+    #[test]
+    fn advance_until_runs_whole_cycles_per_control_period() {
+        // 20 ms periods over a 5 ms cycle: `k · 0.02 / 0.005` is not exactly
+        // `4k` in floating point for many k, yet every period must advance
+        // exactly four cycles.
+        let mut bus = paper_bus();
+        let period = 0.02;
+        for step in 0..10_000u64 {
+            bus.advance_until(step as f64 * period + period);
+            assert_eq!(bus.statistics().cycles, 4 * (step + 1), "period {step}");
+        }
+        // Off-boundary targets still round up to the next cycle start, and
+        // past or NaN targets run nothing.
+        let mut bus = paper_bus();
+        bus.advance_until(0.0051);
+        assert_eq!(bus.statistics().cycles, 2);
+        bus.advance_until(0.001);
+        bus.advance_until(f64::NAN);
+        assert_eq!(bus.run_until(-1.0).len(), 0);
+        assert_eq!(bus.statistics().cycles, 2);
     }
 
     // --- fault layer -----------------------------------------------------

@@ -303,16 +303,30 @@ impl ReferenceBus {
         self.cycle_into(None);
     }
 
+    /// The bus clock's cycle-count rule: the first cycle boundary at or
+    /// after `time`, a boundary within float rounding of `time` counting as
+    /// reaching it. (The original loop compared `time() < time` and drifted
+    /// a cycle early or late whenever the two float products rounded apart;
+    /// the oracle follows the corrected clock.)
+    fn cycles_until(&self, time: f64) -> u64 {
+        let cycles = time / self.config.cycle_length;
+        let nearest = cycles.round();
+        let whole = (cycles - nearest).abs() <= 1e-9 * nearest.abs().max(1.0);
+        (if whole { nearest } else { cycles.ceil() }) as u64
+    }
+
     fn run_until(&mut self, time: f64) -> Vec<Transmission> {
+        let target = self.cycles_until(time);
         let mut all = Vec::new();
-        while self.time() < time {
+        while self.completed_cycles < target {
             self.cycle_into(Some(&mut all));
         }
         all
     }
 
     fn advance_until(&mut self, time: f64) {
-        while self.time() < time {
+        let target = self.cycles_until(time);
+        while self.completed_cycles < target {
             self.cycle_into(None);
         }
     }
@@ -437,8 +451,15 @@ fn replay(ops: &[RawOp], fault: Option<FaultModel>) {
                 assert_eq!(bus.run_cycle(), reference.run_cycle(), "run_cycle at op {step}");
             }
             88..=93 => {
-                let until = reference.time() + offset * 3.0 * cycle;
-                if flag < 2 {
+                // Off-boundary targets, or the end of the current 20 ms
+                // control period (a cycle boundary only up to rounding).
+                let until = if flag == 3 {
+                    let period = 4.0 * cycle;
+                    ((reference.time() / period).floor() + 1.0) * period
+                } else {
+                    reference.time() + offset * 3.0 * cycle
+                };
+                if flag % 2 == 0 {
                     bus.advance_until(until);
                     reference.advance_until(until);
                 } else {
