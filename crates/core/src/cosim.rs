@@ -637,8 +637,20 @@ impl CoSimulation {
                 },
                 CommunicationMode::EventTriggered => Segment::Dynamic,
             };
-            // Reassignment can fail only transiently when two apps swap a
-            // slot within one period; fall back to the dynamic segment.
+            // A slot handed to a lower-index app within one period is still
+            // owned by its previous holder's frame (mirrored later in this
+            // loop), so the grantee transmits in the dynamic segment this
+            // period. Checking the owner first keeps that path free of the
+            // rejected reassignment's error value; any other rejection
+            // falls back the same way.
+            let segment = match segment {
+                Segment::Static { slot }
+                    if self.bus.slot_owner(slot).is_some_and(|owner| owner != frame_id) =>
+                {
+                    Segment::Dynamic
+                }
+                segment => segment,
+            };
             if self.bus.reassign_frame(frame_id, segment).is_err() {
                 self.bus.reassign_frame(frame_id, Segment::Dynamic)?;
             }

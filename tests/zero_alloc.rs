@@ -14,6 +14,9 @@
 //! generation, the count search with live shared-incumbent updates, and the
 //! deterministic reconstruction pass are all allocation-free after the
 //! warm-up solve, under both safe dwell models and both wait-time methods.
+//! The co-simulation engine is proven on warm faulty campaign scenarios and
+//! on a nominal scenario whose runtime hands the shared TT slot to a
+//! lower-index application within one period (the dynamic-segment fallback).
 //!
 //! This file must stay a single-test binary: the allocation counter is
 //! global to the process, and a concurrently running second test would
@@ -367,6 +370,50 @@ fn kernel_and_runtime_hot_paths_do_not_allocate() {
         0,
         "the fault-injection/hold hot path performed {} heap allocations over 5 \
          warm faulty scenarios",
+        after - before
+    );
+
+    // Slot handover within one period: when the runtime passes a TT slot
+    // from one application to a lower-index one, the grantee's frame is
+    // mirrored onto the bus while the previous holder's frame still owns
+    // the slot, so the grantee falls back to the dynamic segment for that
+    // period. That fallback must not build an error value either. On the
+    // derived fleet all six applications share one slot, and the nominal
+    // 12 s run hands it over downwards; the trace run (outside the measured
+    // window) proves the scenario really exercises the path.
+    engine.reset().expect("handover reset");
+    engine.set_fault_model(None).expect("nominal bus");
+    engine.set_degradation(None).expect("no degradation");
+    engine.inject_disturbances().expect("handover inject");
+    let trace = engine.run(12.0).expect("handover trace");
+    let handovers: usize = trace
+        .slot_occupancy
+        .windows(2)
+        .map(|pair| {
+            pair[0]
+                .iter()
+                .zip(&pair[1])
+                .filter(|(was, now)| matches!((was, now), (Some(from), Some(to)) if to < from))
+                .count()
+        })
+        .sum();
+    assert!(handovers > 0, "the nominal derived-fleet run must hand a slot downwards");
+    engine.reset().expect("warm-up reset");
+    engine.inject_disturbances().expect("warm-up inject");
+    engine.run_metrics_into(12.0, &mut metrics).expect("warm-up handover scenario");
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    engine.reset().expect("handover reset");
+    engine.inject_disturbances().expect("handover inject");
+    engine.run_metrics_into(12.0, &mut metrics).expect("handover scenario");
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert!(metrics.all_deadlines_met(), "the nominal derived fleet meets all deadlines");
+    assert_eq!(
+        after - before,
+        0,
+        "the slot-handover fallback performed {} heap allocations over a warm 12 s \
+         scenario with {handovers} handovers",
         after - before
     );
 }
