@@ -857,8 +857,10 @@ mod tests {
 
     /// Regression: the bus clock must advance exactly one period's worth of
     /// whole cycles per control period. A float comparison against the
-    /// period end used to run 3 or 5 cycles in ~42% of periods, so a frame
-    /// queued at a period start missed the cycle beginning at that instant.
+    /// period end used to run 3 or 5 cycles whenever the products rounded
+    /// apart (34 of these 600 periods), so a frame queued at a period start
+    /// could miss the cycle beginning at that instant (worst latencies of
+    /// 7.1–7.5 ms on this run).
     /// Nominally (no contention, 12 of 60 minislots in use) every frame then
     /// completes within its period's first cycle: by the last static slot or
     /// by the twelfth dynamic minislot, ≤ 2.6 ms.
