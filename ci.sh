@@ -228,6 +228,23 @@ for axis in "_unix: test" "_tcp: test" "streamed_terminal_frame" "dropping_the_s
     fi
 done
 
+# Each numerical operation has one, workspace-taking signature; the only
+# proof that it equals its allocating oracle (`solve_dare_reference`,
+# `characterize_dwell_vs_wait_reference`, `characterize_reference`) is the
+# oracle comparison tests. Check each is still collected by name, so none can
+# silently drop out.
+for gate in "cps-linalg dare_solution_satisfies_equation" \
+            "cps-control fast_linear_characterization_matches_reference_point_for_point" \
+            "cps-control fast_saturated_characterization_matches_reference_point_for_point"; do
+    read -r crate identity <<<"$gate"
+    step "numerical oracle test is collected ($crate: $identity)"
+    oracle_tests="$(cargo test -q -p "$crate" --lib -- --list)"
+    if ! grep -- "::$identity: test" > /dev/null <<<"$oracle_tests"; then
+        echo "ERROR: $crate lost its oracle comparison test '$identity'" >&2
+        exit 1
+    fi
+done
+
 if [[ "${1:-}" == "quick" ]]; then
     echo "quick mode: skipping docs gate, clippy and bench smoke"
     exit 0

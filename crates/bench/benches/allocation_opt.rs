@@ -20,6 +20,7 @@ use cps_bench::{synthetic_fleet, synthetic_fleet_tight};
 use cps_sched::case_study_fixtures::paper_table1;
 use cps_sched::{
     allocation_sweep, AllocatorConfig, AppTimingParams, PortfolioAllocator, PortfolioConfig,
+    SlotTiming,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Instant;
@@ -34,7 +35,7 @@ fn bench(c: &mut Criterion) {
     let mut solver = PortfolioAllocator::new(&apps, &config, &one_worker).expect("solver");
     let optimal = solver.solve().expect("feasible");
     assert_eq!(optimal.slot_count(), 3);
-    assert!(optimal.verify(&apps).expect("verification runs"));
+    assert!(optimal.verify_with(&apps, SlotTiming::ZERO).expect("verification runs"));
     let greedy_best = allocation_sweep(&apps, &config.sweep_matrix())
         .iter()
         .map(cps_sched::SlotAllocation::slot_count)

@@ -8,6 +8,7 @@
 
 use cps_control::{
     characterize_dwell_vs_wait, characterize_dwell_vs_wait_reference, CharacterizationConfig,
+    CharacterizationWorkspace,
 };
 use cps_core::{case_study, characterize_application, experiments};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -27,7 +28,8 @@ fn bench(c: &mut Criterion) {
         plant_order: app.spec().plant.order(),
         horizon: 3_000,
     };
-    let fast = characterize_dwell_vs_wait(&a1, &a2, &config).expect("kernel characterisation");
+    let fast = characterize_dwell_vs_wait(&a1, &a2, &config, &mut CharacterizationWorkspace::new())
+        .expect("kernel characterisation");
     let reference =
         characterize_dwell_vs_wait_reference(&a1, &a2, &config).expect("reference");
     assert_eq!(fast, reference, "paths must agree before being compared for speed");
@@ -42,14 +44,21 @@ fn bench(c: &mut Criterion) {
         plant_order: rig.spec().plant.order(),
         horizon: 3_000,
     };
-    let fast = model.characterize(&rig_config).expect("kernel characterisation");
+    let fast = model
+        .characterize(&rig_config, &mut CharacterizationWorkspace::new())
+        .expect("kernel characterisation");
     let reference = model.characterize_reference(&rig_config).expect("reference");
     assert_eq!(fast, reference, "saturated paths must agree");
 
     let mut group = c.benchmark_group("characterize");
     group.sample_size(10);
+    // The kernel rungs build a fresh workspace per iteration, so they keep
+    // measuring the cost of a one-off characterisation.
     group.bench_function("linear_kernel", |b| {
-        b.iter(|| black_box(characterize_dwell_vs_wait(&a1, &a2, &config).expect("curve")))
+        b.iter(|| {
+            let mut workspace = CharacterizationWorkspace::new();
+            black_box(characterize_dwell_vs_wait(&a1, &a2, &config, &mut workspace).expect("curve"))
+        })
     });
     group.bench_function("linear_full_horizon_reference", |b| {
         b.iter(|| {
@@ -57,7 +66,10 @@ fn bench(c: &mut Criterion) {
         })
     });
     group.bench_function("saturated_kernel", |b| {
-        b.iter(|| black_box(model.characterize(&rig_config).expect("curve")))
+        b.iter(|| {
+            let mut workspace = CharacterizationWorkspace::new();
+            black_box(model.characterize(&rig_config, &mut workspace).expect("curve"))
+        })
     });
     group.bench_function("saturated_full_horizon_reference", |b| {
         b.iter(|| black_box(model.characterize_reference(&rig_config).expect("curve")))
@@ -65,7 +77,10 @@ fn bench(c: &mut Criterion) {
     // The end-to-end Figure 3/4 pipeline of one application (characterise +
     // implicit settling sweeps), now riding entirely on the kernel path.
     group.bench_function("application_pipeline", |b| {
-        b.iter(|| black_box(characterize_application(&app).expect("curve")))
+        b.iter(|| {
+            let mut workspace = CharacterizationWorkspace::new();
+            black_box(characterize_application(&app, &mut workspace).expect("curve"))
+        })
     });
     group.finish();
 }

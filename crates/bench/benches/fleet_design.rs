@@ -35,9 +35,7 @@
 
 use cps_core::{case_study, BusConfigSweep, CoSimulation, DesignedFleet, FleetDesigner};
 use cps_flexray::FlexRayConfig;
-use cps_linalg::{
-    solve_dare, solve_dare_reference, solve_dare_with, DareOptions, Matrix, RiccatiWorkspace,
-};
+use cps_linalg::{solve_dare, solve_dare_reference, DareOptions, Matrix, RiccatiWorkspace};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 
@@ -157,16 +155,17 @@ fn bench(c: &mut Criterion) {
     let r = Matrix::from_rows(&[&[0.1]]).expect("static");
     let options = DareOptions::default();
     let reference = solve_dare_reference(&a, &b_mat, &q, &r, options).expect("dare");
-    assert_eq!(solve_dare(&a, &b_mat, &q, &r, options).expect("dare"), reference);
+    let mut fresh = RiccatiWorkspace::new(3, 1);
+    solve_dare(&a, &b_mat, &q, &r, options, &mut fresh).expect("dare");
+    assert_eq!(fresh.solution(), &reference);
 
     let mut group = c.benchmark_group("dare");
     group.sample_size(10);
     group.bench_function("solve_workspace", |b| {
         let mut workspace = RiccatiWorkspace::new(3, 1);
         b.iter(|| {
-            black_box(
-                solve_dare_with(&a, &b_mat, &q, &r, options, &mut workspace).expect("dare"),
-            )
+            solve_dare(&a, &b_mat, &q, &r, options, &mut workspace).expect("dare");
+            black_box(workspace.solution());
         })
     });
     group.bench_function("solve_reference_alloc", |b| {

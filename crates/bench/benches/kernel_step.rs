@@ -9,7 +9,7 @@
 //! measured speedup (the acceptance target is ≥5×).
 
 use cps_control::{
-    design_by_pole_placement, plants, CommunicationMode, DelayedLtiSystem,
+    design_by_pole_placement, plants, CommunicationMode, DelayedLtiSystem, DesignWorkspace,
     StateFeedbackController, StepKernel,
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -18,8 +18,11 @@ use std::time::Instant;
 fn servo_parts(
 ) -> (DelayedLtiSystem, DelayedLtiSystem, StateFeedbackController, StateFeedbackController) {
     let plant = plants::servo_rig_upright();
-    let et_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.02).expect("ET model");
-    let tt_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0007).expect("TT model");
+    let et_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.02, &mut DesignWorkspace::new())
+        .expect("ET model");
+    let tt_sys =
+        DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0007, &mut DesignWorkspace::new())
+            .expect("TT model");
     let et = design_by_pole_placement(&et_sys, &[-0.7, -0.8, -40.0]).expect("ET design");
     let tt = design_by_pole_placement(&tt_sys, &[-6.0, -8.0, -40.0]).expect("TT design");
     (et_sys, tt_sys, et, tt)

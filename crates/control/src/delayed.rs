@@ -27,7 +27,7 @@
 use crate::continuous::ContinuousStateSpace;
 use crate::design::DesignWorkspace;
 use crate::error::{ControlError, Result};
-use cps_linalg::{expm_with, input_integral_with, vec_norm, Matrix};
+use cps_linalg::{expm, input_integral, vec_norm, Matrix};
 
 /// Sampled plant with a constant sensor-to-actuator delay (paper Eq. (1)).
 #[derive(Debug, Clone, PartialEq)]
@@ -46,29 +46,17 @@ impl DelayedLtiSystem {
     /// Discretises `plant` with sampling period `period` and sensor-to-actuator
     /// delay `delay`.
     ///
+    /// The matrix exponentials run on the caller-provided [`DesignWorkspace`],
+    /// so a fleet-design loop shares their temporaries across all of its
+    /// discretisations; a one-off call passes `&mut DesignWorkspace::new()`.
+    /// The model is bit-identical for any (warm or fresh) workspace.
+    ///
     /// # Errors
     ///
     /// Returns [`ControlError::InvalidModel`] if `period <= 0`, `delay < 0`,
     /// `delay > period`, or any of the quantities is non-finite; linear
     /// algebra failures are propagated.
     pub fn from_continuous(
-        plant: &ContinuousStateSpace,
-        period: f64,
-        delay: f64,
-    ) -> Result<Self> {
-        Self::from_continuous_with(plant, period, delay, &mut DesignWorkspace::new())
-    }
-
-    /// [`DelayedLtiSystem::from_continuous`] with a caller-provided
-    /// [`DesignWorkspace`], so a fleet-design loop shares the matrix
-    /// exponential temporaries across all of its discretisations. Produces
-    /// exactly the model of [`DelayedLtiSystem::from_continuous`] (every
-    /// inner operation is the workspace twin of the allocating one).
-    ///
-    /// # Errors
-    ///
-    /// As [`DelayedLtiSystem::from_continuous`].
-    pub fn from_continuous_with(
         plant: &ContinuousStateSpace,
         period: f64,
         delay: f64,
@@ -88,10 +76,11 @@ impl DelayedLtiSystem {
         }
         let a = plant.a();
         let b = plant.b();
-        let phi = expm_with(&a.scale(period), workspace.expm(plant.order()))?;
+        let mut phi = Matrix::zeros(plant.order(), plant.order());
+        expm(&a.scale(period), workspace.expm(plant.order()), &mut phi)?;
         let aug = workspace.expm(plant.order() + plant.inputs());
-        let gamma0 = input_integral_with(a, b, 0.0, period - delay, aug)?;
-        let gamma1 = input_integral_with(a, b, period - delay, period, aug)?;
+        let gamma0 = input_integral(a, b, 0.0, period - delay, aug)?;
+        let gamma1 = input_integral(a, b, period - delay, period, aug)?;
         Ok(DelayedLtiSystem {
             phi,
             gamma0,
@@ -231,13 +220,20 @@ pub fn plant_state_norm(augmented_state: &[f64], plant_order: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::plants;
-    use cps_linalg::discretize_zoh;
+    use cps_linalg::{discretize_zoh, ExpmWorkspace};
+
+    /// Plain zero-delay ZOH discretisation on a fresh workspace.
+    fn zoh(plant: &ContinuousStateSpace, h: f64) -> (Matrix, Matrix) {
+        let mut ws = ExpmWorkspace::new(plant.order() + plant.inputs());
+        discretize_zoh(plant.a(), plant.b(), h, &mut ws).unwrap()
+    }
 
     #[test]
     fn zero_delay_matches_plain_zoh() {
         let plant = plants::dc_motor_speed();
-        let sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0).unwrap();
-        let (phi, gamma) = discretize_zoh(plant.a(), plant.b(), 0.02).unwrap();
+        let sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0, &mut DesignWorkspace::new())
+            .unwrap();
+        let (phi, gamma) = zoh(&plant, 0.02);
         assert!(sys.phi().approx_eq(&phi, 1e-12));
         assert!(sys.gamma0().approx_eq(&gamma, 1e-12));
         assert!(sys.gamma1().max_abs() < 1e-15);
@@ -247,8 +243,9 @@ mod tests {
     fn full_delay_moves_all_input_to_gamma1() {
         let plant = plants::dc_motor_speed();
         let h = 0.02;
-        let sys = DelayedLtiSystem::from_continuous(&plant, h, h).unwrap();
-        let (_, gamma) = discretize_zoh(plant.a(), plant.b(), h).unwrap();
+        let sys =
+            DelayedLtiSystem::from_continuous(&plant, h, h, &mut DesignWorkspace::new()).unwrap();
+        let (_, gamma) = zoh(&plant, h);
         assert!(sys.gamma0().max_abs() < 1e-15);
         assert!(sys.gamma1().approx_eq(&gamma, 1e-12));
     }
@@ -258,8 +255,9 @@ mod tests {
         let plant = plants::servo_position();
         let h = 0.02;
         let d = 0.0007;
-        let sys = DelayedLtiSystem::from_continuous(&plant, h, d).unwrap();
-        let (_, gamma) = discretize_zoh(plant.a(), plant.b(), h).unwrap();
+        let sys =
+            DelayedLtiSystem::from_continuous(&plant, h, d, &mut DesignWorkspace::new()).unwrap();
+        let (_, gamma) = zoh(&plant, h);
         let sum = sys.gamma0().add_matrix(sys.gamma1()).unwrap();
         assert!(sum.approx_eq(&gamma, 1e-10));
         assert!((sys.period() - h).abs() < 1e-15);
@@ -269,7 +267,9 @@ mod tests {
     #[test]
     fn augmented_matrices_have_expected_structure() {
         let plant = plants::servo_position();
-        let sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.01).unwrap();
+        let sys =
+            DelayedLtiSystem::from_continuous(&plant, 0.02, 0.01, &mut DesignWorkspace::new())
+                .unwrap();
         let a = sys.augmented_a().unwrap();
         let b = sys.augmented_b().unwrap();
         assert_eq!(a.shape(), (3, 3));
@@ -286,16 +286,19 @@ mod tests {
     #[test]
     fn parameter_validation() {
         let plant = plants::servo_position();
-        assert!(DelayedLtiSystem::from_continuous(&plant, 0.0, 0.0).is_err());
-        assert!(DelayedLtiSystem::from_continuous(&plant, 0.02, -0.001).is_err());
-        assert!(DelayedLtiSystem::from_continuous(&plant, 0.02, 0.03).is_err());
-        assert!(DelayedLtiSystem::from_continuous(&plant, f64::NAN, 0.0).is_err());
+        let ws = &mut DesignWorkspace::new();
+        assert!(DelayedLtiSystem::from_continuous(&plant, 0.0, 0.0, ws).is_err());
+        assert!(DelayedLtiSystem::from_continuous(&plant, 0.02, -0.001, ws).is_err());
+        assert!(DelayedLtiSystem::from_continuous(&plant, 0.02, 0.03, ws).is_err());
+        assert!(DelayedLtiSystem::from_continuous(&plant, f64::NAN, 0.0, ws).is_err());
     }
 
     #[test]
     fn closed_loop_shape_check() {
         let plant = plants::servo_position();
-        let sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.01).unwrap();
+        let sys =
+            DelayedLtiSystem::from_continuous(&plant, 0.02, 0.01, &mut DesignWorkspace::new())
+                .unwrap();
         let bad_gain = Matrix::zeros(1, 2);
         assert!(sys.closed_loop(&bad_gain).is_err());
         let gain = Matrix::zeros(1, 3);
@@ -306,7 +309,9 @@ mod tests {
     #[test]
     fn step_matches_augmented_dynamics() {
         let plant = plants::servo_position();
-        let sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.01).unwrap();
+        let sys =
+            DelayedLtiSystem::from_continuous(&plant, 0.02, 0.01, &mut DesignWorkspace::new())
+                .unwrap();
         let x = [0.3, -0.1];
         let u = [0.5];
         let u_prev = [-0.2];

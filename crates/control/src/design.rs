@@ -9,16 +9,15 @@
 //! discretisation and once per controller. [`DesignWorkspace`] closes that
 //! gap: it is a small dimension-keyed pool of Riccati and exponential
 //! workspaces that one design worker owns and threads through *all* of its
-//! syntheses ([`crate::DelayedLtiSystem::from_continuous_with`],
-//! [`crate::design_lqr_with`], [`crate::design_switched_pair_with`]),
-//! re-allocating only when an application with a previously unseen
-//! state/input dimension appears.
+//! syntheses, re-allocating only when an application with a previously
+//! unseen state/input dimension appears. Every synthesis takes it:
+//! [`crate::DelayedLtiSystem::from_continuous`], [`crate::design_lqr`] and
+//! [`crate::design_switched_pair`] have no other signature, and a one-off
+//! design passes `&mut DesignWorkspace::new()`.
 //!
-//! Every operation behind the workspace path is the `_into`/`_with` twin of
-//! its allocating reference, so a design threaded through a (warm or cold,
-//! shared or private) `DesignWorkspace` is **bit-identical** to the
-//! allocating one-shot path — the property the fleet-designer parity suite
-//! asserts.
+//! A design threaded through a (warm or fresh, shared or private)
+//! `DesignWorkspace` is **bit-identical** whatever the pool held before —
+//! the property the fleet-designer parity suite asserts.
 
 use cps_linalg::{ExpmWorkspace, RiccatiWorkspace};
 

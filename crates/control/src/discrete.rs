@@ -2,7 +2,7 @@
 
 use crate::continuous::ContinuousStateSpace;
 use crate::error::{ControlError, Result};
-use cps_linalg::{discretize_zoh, eigenvalues, is_schur_stable, Complex, Matrix};
+use cps_linalg::{discretize_zoh, eigenvalues, is_schur_stable, Complex, ExpmWorkspace, Matrix};
 
 /// A discrete-time LTI system `x[k+1] = Φ·x[k] + Γ·u[k]`, `y[k] = C·x[k]`,
 /// with an associated sampling period `h`.
@@ -55,7 +55,8 @@ impl DiscreteStateSpace {
     ///
     /// Propagates discretisation failures and parameter validation errors.
     pub fn from_continuous(plant: &ContinuousStateSpace, period: f64) -> Result<Self> {
-        let (phi, gamma) = discretize_zoh(plant.a(), plant.b(), period)?;
+        let mut workspace = ExpmWorkspace::new(plant.order() + plant.inputs());
+        let (phi, gamma) = discretize_zoh(plant.a(), plant.b(), period, &mut workspace)?;
         Self::new(phi, gamma, plant.c().clone(), period)
     }
 

@@ -372,11 +372,13 @@ impl StepKernel {
 mod tests {
     use super::*;
     use crate::plants;
+    use crate::DesignWorkspace;
 
     fn servo_kernel() -> StepKernel {
+        let ws = &mut DesignWorkspace::new();
         let plant = plants::servo_rig_upright();
-        let et_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.02).unwrap();
-        let tt_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0007).unwrap();
+        let et_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.02, ws).unwrap();
+        let tt_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0007, ws).unwrap();
         let et = crate::lqr::design_by_pole_placement(&et_sys, &[-0.7, -0.8, -40.0]).unwrap();
         let tt = crate::lqr::design_by_pole_placement(&tt_sys, &[-6.0, -8.0, -40.0]).unwrap();
         StepKernel::new(&et_sys, &tt_sys, &et, &tt).unwrap()
@@ -462,9 +464,10 @@ mod tests {
 
     #[test]
     fn hold_matrix_has_the_documented_block_structure() {
+        let ws = &mut DesignWorkspace::new();
         let plant = plants::servo_rig_upright();
-        let et_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.02).unwrap();
-        let tt_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0007).unwrap();
+        let et_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.02, ws).unwrap();
+        let tt_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0007, ws).unwrap();
         let et = crate::lqr::design_by_pole_placement(&et_sys, &[-0.7, -0.8, -40.0]).unwrap();
         let tt = crate::lqr::design_by_pole_placement(&tt_sys, &[-6.0, -8.0, -40.0]).unwrap();
         let matrices = KernelMatrices::compile(&et_sys, &tt_sys, &et, &tt).unwrap();
@@ -495,9 +498,10 @@ mod tests {
 
     #[test]
     fn kernels_from_shared_matrices_are_independent_but_share_storage() {
+        let ws = &mut DesignWorkspace::new();
         let plant = plants::servo_rig_upright();
-        let et_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.02).unwrap();
-        let tt_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0007).unwrap();
+        let et_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.02, ws).unwrap();
+        let tt_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0007, ws).unwrap();
         let et = crate::lqr::design_by_pole_placement(&et_sys, &[-0.7, -0.8, -40.0]).unwrap();
         let tt = crate::lqr::design_by_pole_placement(&tt_sys, &[-6.0, -8.0, -40.0]).unwrap();
         let matrices =
@@ -524,14 +528,15 @@ mod tests {
 
     #[test]
     fn mismatched_models_are_rejected() {
+        let ws = &mut DesignWorkspace::new();
         let servo = plants::servo_position();
         let suspension = plants::quarter_car_suspension();
         let w2 = crate::lqr::LqrWeights::identity_with_input_weight(2, 0.1);
         let w4 = crate::lqr::LqrWeights::identity_with_input_weight(4, 0.1);
         let servo_pair =
-            crate::lqr::design_switched_pair(&servo, 0.02, 0.02, 0.0, &w2, &w2).unwrap();
+            crate::lqr::design_switched_pair(&servo, 0.02, 0.02, 0.0, &w2, &w2, ws).unwrap();
         let susp_pair =
-            crate::lqr::design_switched_pair(&suspension, 0.02, 0.02, 0.0, &w4, &w4).unwrap();
+            crate::lqr::design_switched_pair(&suspension, 0.02, 0.02, 0.0, &w4, &w4, ws).unwrap();
         assert!(StepKernel::new(
             &servo_pair.et_system,
             &susp_pair.tt_system,
@@ -539,7 +544,7 @@ mod tests {
             &susp_pair.tt,
         )
         .is_err());
-        let fast = crate::lqr::design_switched_pair(&servo, 0.01, 0.01, 0.0, &w2, &w2).unwrap();
+        let fast = crate::lqr::design_switched_pair(&servo, 0.01, 0.01, 0.0, &w2, &w2, ws).unwrap();
         assert!(StepKernel::new(
             &servo_pair.et_system,
             &fast.tt_system,

@@ -14,18 +14,20 @@
 //!   controller design and switching analysis.
 //! * [`design_lqr`] / [`design_switched_pair`] / [`place_poles`] — synthesis
 //!   of the event-triggered and time-triggered state-feedback controllers.
-//! * [`DesignWorkspace`] — the dimension-keyed solver-workspace bundle a
-//!   fleet-design worker threads through every discretisation and synthesis
-//!   via the `_with` variants ([`DelayedLtiSystem::from_continuous_with`],
-//!   [`design_lqr_with`], [`design_switched_pair_with`]), bit-identical to
-//!   the one-shot paths.
+//! * [`DesignWorkspace`] — the dimension-keyed solver-workspace bundle that
+//!   every discretisation and synthesis takes
+//!   ([`DelayedLtiSystem::from_continuous`], [`design_lqr`],
+//!   [`design_switched_pair`]); a fleet-design worker threads one through
+//!   all of its designs, a one-off design passes a fresh one.
 //! * [`CharacterizationWorkspace`] — its characterisation-side counterpart:
 //!   a per-worker pool of switched-kernel state buffers, power-bound
-//!   matrices and saturated-sim scratch threaded through
-//!   [`characterize_dwell_vs_wait_with`] /
-//!   [`SaturatedSwitchedModel::characterize_with`], so a warm worker
-//!   re-allocates no simulation scratch per application (bit-identical to
-//!   the one-shot paths).
+//!   matrices and saturated-sim scratch taken by
+//!   [`characterize_dwell_vs_wait`] /
+//!   [`SaturatedSwitchedModel::characterize`], so a warm worker
+//!   re-allocates no simulation scratch per application.
+//!
+//! Each operation has one signature, and a warm workspace gives results
+//! bit-identical to a fresh one.
 //! * [`response_metrics`] / [`response_time`] — settling-time metrics (ξᵀᵀ,
 //!   ξᴱᵀ).
 //! * [`characterize_dwell_vs_wait`] — the switched-system sweep behind the
@@ -43,14 +45,15 @@
 //!
 //! ```
 //! use cps_control::{
-//!     design_by_pole_placement, plants, CharacterizationConfig, DelayedLtiSystem,
-//!     SaturatedSwitchedModel,
+//!     design_by_pole_placement, plants, CharacterizationConfig, CharacterizationWorkspace,
+//!     DelayedLtiSystem, DesignWorkspace, SaturatedSwitchedModel,
 //! };
 //!
 //! let rig = plants::servo_rig_upright();
 //! let h = 0.02; // 20 ms sampling period, as in the paper
-//! let et_sys = DelayedLtiSystem::from_continuous(&rig, h, h)?;      // worst-case ET delay
-//! let tt_sys = DelayedLtiSystem::from_continuous(&rig, h, 0.0007)?; // TT delay = 0.7 ms
+//! let mut workspace = DesignWorkspace::new();
+//! let et_sys = DelayedLtiSystem::from_continuous(&rig, h, h, &mut workspace)?; // worst-case ET delay
+//! let tt_sys = DelayedLtiSystem::from_continuous(&rig, h, 0.0007, &mut workspace)?; // TT delay = 0.7 ms
 //! let et = design_by_pole_placement(&et_sys, &[-0.7, -0.8, -40.0])?; // detuned ET controller
 //! let tt = design_by_pole_placement(&tt_sys, &[-6.0, -8.0, -40.0])?; // aggressive TT controller
 //! let model = SaturatedSwitchedModel::new(
@@ -60,13 +63,14 @@
 //!     tt.gain().clone(),
 //!     plants::SERVO_RIG_TORQUE_LIMIT,
 //! )?;
-//! let curve = model.characterize(&CharacterizationConfig {
+//! let config = CharacterizationConfig {
 //!     period: h,
 //!     threshold: 0.1,
 //!     initial_state: vec![45.0_f64.to_radians(), 0.0],
 //!     plant_order: 2,
 //!     horizon: 10_000,
-//! })?;
+//! };
+//! let curve = model.characterize(&config, &mut CharacterizationWorkspace::new())?;
 //! assert!(curve.is_non_monotonic());
 //! assert!(curve.max_dwell() > curve.xi_tt);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -96,8 +100,8 @@ pub use discrete::DiscreteStateSpace;
 pub use error::{ControlError, Result};
 pub use kernel::{KernelMatrices, StepKernel};
 pub use lqr::{
-    design_by_pole_placement, design_lqr, design_lqr_with, design_switched_pair,
-    design_switched_pair_with, LqrWeights, StateFeedbackController, SwitchedControllerPair,
+    design_by_pole_placement, design_lqr, design_switched_pair, LqrWeights,
+    StateFeedbackController, SwitchedControllerPair,
 };
 pub use pole_placement::place_poles;
 pub use response::{
@@ -105,8 +109,7 @@ pub use response::{
 };
 pub use sim::{CommunicationMode, PlantSimulator, SimSample};
 pub use switched::{
-    characterize_dwell_vs_wait, characterize_dwell_vs_wait_reference,
-    characterize_dwell_vs_wait_with, dwell_steps, power_norm_bound, switched_norm_trajectory,
-    CharacterizationConfig, CharacterizationWorkspace, DwellWaitCurve, DwellWaitPoint,
-    PooledSwitchedKernel, SaturatedSwitchedModel, SwitchedKernel,
+    characterize_dwell_vs_wait, characterize_dwell_vs_wait_reference, dwell_steps,
+    power_norm_bound, switched_norm_trajectory, CharacterizationConfig, CharacterizationWorkspace,
+    DwellWaitCurve, DwellWaitPoint, PooledSwitchedKernel, SaturatedSwitchedModel, SwitchedKernel,
 };

@@ -8,7 +8,7 @@
 use crate::delayed::DelayedLtiSystem;
 use crate::design::DesignWorkspace;
 use crate::error::{ControlError, Result};
-use cps_linalg::{dlqr_with, is_schur_stable, DareOptions, Matrix};
+use cps_linalg::{dlqr, is_schur_stable, DareOptions, Matrix};
 
 /// Weights for the LQR synthesis on the delay-augmented system.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +73,12 @@ impl StateFeedbackController {
 /// Designs an LQR state-feedback controller for the delayed plant.
 ///
 /// The returned controller acts on the augmented state `z = [x; u_prev]` and
-/// is guaranteed Schur-stabilising (the function fails otherwise).
+/// is guaranteed Schur-stabilising (the function fails otherwise). Every DARE
+/// iteration and the gain computation run on the Riccati workspace of the
+/// caller-provided [`DesignWorkspace`], so repeated syntheses (fleet design,
+/// threshold sweeps) share one set of temporaries; a one-off design passes
+/// `&mut DesignWorkspace::new()`. The controller is bit-identical for any
+/// (warm or fresh) workspace.
 ///
 /// # Errors
 ///
@@ -84,30 +89,17 @@ impl StateFeedbackController {
 /// # Example
 ///
 /// ```
-/// use cps_control::{design_lqr, plants, DelayedLtiSystem, LqrWeights};
+/// use cps_control::{design_lqr, plants, DelayedLtiSystem, DesignWorkspace, LqrWeights};
 ///
 /// let plant = plants::servo_position();
-/// let sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0007)?;
-/// let ctrl = design_lqr(&sys, &LqrWeights::identity_with_input_weight(2, 0.1))?;
+/// let mut workspace = DesignWorkspace::new();
+/// let sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0007, &mut workspace)?;
+/// let weights = LqrWeights::identity_with_input_weight(2, 0.1);
+/// let ctrl = design_lqr(&sys, &weights, &mut workspace)?;
 /// assert_eq!(ctrl.gain().shape(), (1, 3));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn design_lqr(
-    system: &DelayedLtiSystem,
-    weights: &LqrWeights,
-) -> Result<StateFeedbackController> {
-    design_lqr_with(system, weights, &mut DesignWorkspace::new())
-}
-
-/// [`design_lqr`] with a caller-provided [`DesignWorkspace`]: repeated
-/// syntheses (fleet design, threshold sweeps) share one set of Riccati
-/// temporaries across every DARE iteration and gain computation. Produces
-/// exactly the controller of [`design_lqr`].
-///
-/// # Errors
-///
-/// As [`design_lqr`].
-pub fn design_lqr_with(
     system: &DelayedLtiSystem,
     weights: &LqrWeights,
     workspace: &mut DesignWorkspace,
@@ -139,7 +131,7 @@ pub fn design_lqr_with(
 
     let riccati = workspace.riccati(system.augmented_order(), m);
     let solution =
-        dlqr_with(&a, &b, &q, &weights.input, DareOptions::default(), riccati).map_err(|e| {
+        dlqr(&a, &b, &q, &weights.input, DareOptions::default(), riccati).map_err(|e| {
             ControlError::DesignFailed { reason: format!("riccati recursion failed: {e}") }
         })?;
     let closed_loop = a.sub_matrix(&b.matmul(&solution.gain)?)?;
@@ -194,39 +186,15 @@ impl SwitchedControllerPair {
 /// The two modes may use different weights: the ET controller is typically
 /// detuned (larger input weight) to remain robust against the
 /// non-deterministic ET delay, while the TT controller exploits the
-/// deterministic slot timing aggressively.
+/// deterministic slot timing aggressively. Both discretisations and both
+/// LQR syntheses run on the caller-provided [`DesignWorkspace`], the shape a
+/// fleet-level design loop fans out per worker.
 ///
 /// # Errors
 ///
-/// Propagates modelling and design failures from [`design_lqr`].
+/// Propagates modelling and design failures from
+/// [`DelayedLtiSystem::from_continuous`] and [`design_lqr`].
 pub fn design_switched_pair(
-    plant: &crate::continuous::ContinuousStateSpace,
-    period: f64,
-    et_delay: f64,
-    tt_delay: f64,
-    et_weights: &LqrWeights,
-    tt_weights: &LqrWeights,
-) -> Result<SwitchedControllerPair> {
-    design_switched_pair_with(
-        plant,
-        period,
-        et_delay,
-        tt_delay,
-        et_weights,
-        tt_weights,
-        &mut DesignWorkspace::new(),
-    )
-}
-
-/// [`design_switched_pair`] with a caller-provided [`DesignWorkspace`]: both
-/// discretisations and both LQR syntheses run on one set of solver
-/// temporaries, the shape a fleet-level design loop fans out per worker.
-/// Produces exactly the pair of [`design_switched_pair`].
-///
-/// # Errors
-///
-/// As [`design_switched_pair`].
-pub fn design_switched_pair_with(
     plant: &crate::continuous::ContinuousStateSpace,
     period: f64,
     et_delay: f64,
@@ -235,10 +203,10 @@ pub fn design_switched_pair_with(
     tt_weights: &LqrWeights,
     workspace: &mut DesignWorkspace,
 ) -> Result<SwitchedControllerPair> {
-    let et_system = DelayedLtiSystem::from_continuous_with(plant, period, et_delay, workspace)?;
-    let tt_system = DelayedLtiSystem::from_continuous_with(plant, period, tt_delay, workspace)?;
-    let et = design_lqr_with(&et_system, et_weights, workspace)?;
-    let tt = design_lqr_with(&tt_system, tt_weights, workspace)?;
+    let et_system = DelayedLtiSystem::from_continuous(plant, period, et_delay, workspace)?;
+    let tt_system = DelayedLtiSystem::from_continuous(plant, period, tt_delay, workspace)?;
+    let et = design_lqr(&et_system, et_weights, workspace)?;
+    let tt = design_lqr(&tt_system, tt_weights, workspace)?;
     Ok(SwitchedControllerPair { et, tt, et_system, tt_system })
 }
 
@@ -299,26 +267,29 @@ mod tests {
 
     #[test]
     fn lqr_stabilises_servo_with_delay() {
+        let ws = &mut DesignWorkspace::new();
         let plant = plants::servo_position();
-        let sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.02).unwrap();
-        let ctrl = design_lqr(&sys, &LqrWeights::identity_with_input_weight(2, 0.5)).unwrap();
+        let sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.02, ws).unwrap();
+        let ctrl = design_lqr(&sys, &LqrWeights::identity_with_input_weight(2, 0.5), ws).unwrap();
         assert!(spectral_radius(ctrl.closed_loop()).unwrap() < 1.0);
         assert_eq!(ctrl.plant_order(), 2);
     }
 
     #[test]
     fn lqr_stabilises_unstable_pendulum() {
+        let ws = &mut DesignWorkspace::new();
         let plant = plants::inverted_pendulum();
-        let sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.005).unwrap();
-        let ctrl = design_lqr(&sys, &LqrWeights::identity_with_input_weight(2, 1.0)).unwrap();
+        let sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.005, ws).unwrap();
+        let ctrl = design_lqr(&sys, &LqrWeights::identity_with_input_weight(2, 1.0), ws).unwrap();
         assert!(spectral_radius(ctrl.closed_loop()).unwrap() < 1.0);
     }
 
     #[test]
     fn control_law_is_negative_feedback() {
+        let ws = &mut DesignWorkspace::new();
         let plant = plants::servo_position();
-        let sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0).unwrap();
-        let ctrl = design_lqr(&sys, &LqrWeights::identity_with_input_weight(2, 0.1)).unwrap();
+        let sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0, ws).unwrap();
+        let ctrl = design_lqr(&sys, &LqrWeights::identity_with_input_weight(2, 0.1), ws).unwrap();
         let u = ctrl.control(&[1.0, 0.0, 0.0]).unwrap();
         // Positive position error must produce a restoring (negative) torque
         // because the gain's position entry is positive for this plant.
@@ -328,26 +299,27 @@ mod tests {
 
     #[test]
     fn weight_validation() {
+        let ws = &mut DesignWorkspace::new();
         let plant = plants::servo_position();
-        let sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0).unwrap();
+        let sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0, ws).unwrap();
         let bad_state = LqrWeights {
             state: Matrix::identity(3),
             input: Matrix::identity(1),
             previous_input: 0.0,
         };
-        assert!(design_lqr(&sys, &bad_state).is_err());
+        assert!(design_lqr(&sys, &bad_state, ws).is_err());
         let bad_input = LqrWeights {
             state: Matrix::identity(2),
             input: Matrix::identity(2),
             previous_input: 0.0,
         };
-        assert!(design_lqr(&sys, &bad_input).is_err());
+        assert!(design_lqr(&sys, &bad_input, ws).is_err());
         let bad_prev = LqrWeights {
             state: Matrix::identity(2),
             input: Matrix::identity(1),
             previous_input: -1.0,
         };
-        assert!(design_lqr(&sys, &bad_prev).is_err());
+        assert!(design_lqr(&sys, &bad_prev, ws).is_err());
     }
 
     #[test]
@@ -355,8 +327,16 @@ mod tests {
         let plant = plants::servo_position();
         let et_weights = LqrWeights::identity_with_input_weight(2, 10.0);
         let tt_weights = LqrWeights::identity_with_input_weight(2, 0.01);
-        let pair =
-            design_switched_pair(&plant, 0.02, 0.02, 0.0007, &et_weights, &tt_weights).unwrap();
+        let pair = design_switched_pair(
+            &plant,
+            0.02,
+            0.02,
+            0.0007,
+            &et_weights,
+            &tt_weights,
+            &mut DesignWorkspace::new(),
+        )
+        .unwrap();
         assert!(spectral_radius(pair.a1()).unwrap() < 1.0);
         assert!(spectral_radius(pair.a2()).unwrap() < 1.0);
         assert_eq!(pair.a1().shape(), pair.a2().shape());
@@ -365,12 +345,13 @@ mod tests {
 
     #[test]
     fn tt_loop_decays_faster_than_et_loop() {
+        let ws = &mut DesignWorkspace::new();
         // On the servo rig, the TT controller is designed an order of
         // magnitude faster than the deliberately detuned ET controller, so
         // its closed loop must reject a disturbance in fewer samples.
         let plant = plants::servo_rig_upright();
-        let et_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.02).unwrap();
-        let tt_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0007).unwrap();
+        let et_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.02, ws).unwrap();
+        let tt_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0007, ws).unwrap();
         let et = design_by_pole_placement(&et_sys, &[-0.7, -0.8, -40.0]).unwrap();
         let tt = design_by_pole_placement(&tt_sys, &[-6.0, -8.0, -40.0]).unwrap();
         let x0 = [0.5, 0.0, 0.0];
@@ -384,7 +365,9 @@ mod tests {
     #[test]
     fn pole_placement_design_on_servo_rig() {
         let plant = plants::servo_rig_upright();
-        let sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0007).unwrap();
+        let sys =
+            DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0007, &mut DesignWorkspace::new())
+                .unwrap();
         let ctrl = design_by_pole_placement(&sys, &[-6.0, -8.0, -40.0]).unwrap();
         assert!(spectral_radius(ctrl.closed_loop()).unwrap() < 1.0);
         assert_eq!(ctrl.gain().shape(), (1, 3));

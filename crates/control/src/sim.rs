@@ -161,13 +161,15 @@ mod tests {
     use super::*;
     use crate::lqr::{design_switched_pair, LqrWeights};
     use crate::plants;
+    use crate::DesignWorkspace;
 
     fn servo_simulator() -> PlantSimulator {
+        let ws = &mut DesignWorkspace::new();
         // Servo rig with the detuned ET controller and the fast TT controller
         // used throughout the Figure 3 reproduction.
         let plant = plants::servo_rig_upright();
-        let et_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.02).unwrap();
-        let tt_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0007).unwrap();
+        let et_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.02, ws).unwrap();
+        let tt_sys = DelayedLtiSystem::from_continuous(&plant, 0.02, 0.0007, ws).unwrap();
         let et = crate::lqr::design_by_pole_placement(&et_sys, &[-0.7, -0.8, -40.0]).unwrap();
         let tt = crate::lqr::design_by_pole_placement(&tt_sys, &[-6.0, -8.0, -40.0]).unwrap();
         PlantSimulator::new(et_sys, tt_sys, et, tt).unwrap()
@@ -242,12 +244,13 @@ mod tests {
 
     #[test]
     fn mismatched_models_are_rejected() {
+        let ws = &mut DesignWorkspace::new();
         let servo = plants::servo_position();
         let suspension = plants::quarter_car_suspension();
         let w2 = LqrWeights::identity_with_input_weight(2, 0.1);
         let w4 = LqrWeights::identity_with_input_weight(4, 0.1);
-        let servo_pair = design_switched_pair(&servo, 0.02, 0.02, 0.0, &w2, &w2).unwrap();
-        let susp_pair = design_switched_pair(&suspension, 0.02, 0.02, 0.0, &w4, &w4).unwrap();
+        let servo_pair = design_switched_pair(&servo, 0.02, 0.02, 0.0, &w2, &w2, ws).unwrap();
+        let susp_pair = design_switched_pair(&suspension, 0.02, 0.02, 0.0, &w4, &w4, ws).unwrap();
         assert!(PlantSimulator::new(
             servo_pair.et_system.clone(),
             susp_pair.tt_system,
@@ -257,7 +260,7 @@ mod tests {
         .is_err());
 
         // Same plant but different sampling periods must also be rejected.
-        let fast = design_switched_pair(&servo, 0.01, 0.01, 0.0, &w2, &w2).unwrap();
+        let fast = design_switched_pair(&servo, 0.01, 0.01, 0.0, &w2, &w2, ws).unwrap();
         assert!(PlantSimulator::new(
             servo_pair.et_system,
             fast.tt_system,

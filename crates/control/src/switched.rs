@@ -550,8 +550,8 @@ impl SatBuffers {
 /// only the materialised curve (and the eigenvalue temporaries of the
 /// stability pre-check) remain per-app allocations.
 ///
-/// Every pooled path is the `_with` twin of its allocating reference and
-/// bit-identical to it (asserted by the characterisation parity tests).
+/// A warm pool gives curves bit-identical to a fresh one (asserted by the
+/// characterisation parity tests).
 #[derive(Debug, Default)]
 pub struct CharacterizationWorkspace {
     /// Switched-state pairs, keyed by augmented order (linear scan: a pool
@@ -674,7 +674,7 @@ impl CharacterizationWorkspace {
 
     /// The pooled saturated-sim bundle for the given dimensions (borrowed
     /// alongside the power pool and the norm buffer by
-    /// [`SaturatedSwitchedModel::characterize_with`]).
+    /// [`SaturatedSwitchedModel::characterize`]).
     fn saturated_entry(
         saturated: &mut Vec<SatBuffers>,
         plant_order: usize,
@@ -817,31 +817,19 @@ impl CharacterizationConfig {
 /// acts as an upper cap only). The curve is identical to
 /// [`characterize_dwell_vs_wait_reference`] point for point.
 ///
+/// The switched-state buffers, the [`power_norm_bound`] scratch and the
+/// ET-norm recording buffer come from the caller-provided
+/// [`CharacterizationWorkspace`]: a fleet-design worker threads one through
+/// every application it characterises, so they are allocated once per worker
+/// and dimension instead of once per application. The curve is bit-identical
+/// for any (warm or fresh, shared or private) workspace.
+///
 /// # Errors
 ///
 /// * Propagates simulation failures.
 /// * [`ControlError::HorizonExceeded`] if either pure-mode loop fails to
 ///   settle within the configured horizon.
 pub fn characterize_dwell_vs_wait(
-    a1: &Matrix,
-    a2: &Matrix,
-    config: &CharacterizationConfig,
-) -> Result<DwellWaitCurve> {
-    characterize_dwell_vs_wait_with(a1, a2, config, &mut CharacterizationWorkspace::new())
-}
-
-/// [`characterize_dwell_vs_wait`] on a caller-provided
-/// [`CharacterizationWorkspace`]: the shape a fleet-design worker threads
-/// through every application it characterises, so the switched-state
-/// buffers, the [`power_norm_bound`] scratch and the ET-norm recording
-/// buffer are allocated once per worker and dimension instead of once per
-/// application. The curve is bit-identical to the one-shot path for any
-/// (warm or cold, shared or private) workspace.
-///
-/// # Errors
-///
-/// As [`characterize_dwell_vs_wait`].
-pub fn characterize_dwell_vs_wait_with(
     a1: &Matrix,
     a2: &Matrix,
     config: &CharacterizationConfig,
@@ -1058,25 +1046,18 @@ impl SaturatedSwitchedModel {
     /// curve matches [`SaturatedSwitchedModel::characterize_reference`]
     /// point for point.
     ///
+    /// The saturated-sim buffer bundle, the [`power_norm_bound`] scratch and
+    /// the ET-norm recording buffer come from the caller-provided
+    /// [`CharacterizationWorkspace`] (the per-worker pool of a fleet design)
+    /// instead of being allocated per application. The curve is
+    /// bit-identical for any (warm or fresh) workspace.
+    ///
     /// # Errors
     ///
     /// * Propagates simulation failures and configuration validation.
     /// * [`ControlError::HorizonExceeded`] if either pure-mode response fails
     ///   to settle within the configured horizon.
-    pub fn characterize(&self, config: &CharacterizationConfig) -> Result<DwellWaitCurve> {
-        self.characterize_with(config, &mut CharacterizationWorkspace::new())
-    }
-
-    /// [`SaturatedSwitchedModel::characterize`] on a caller-provided
-    /// [`CharacterizationWorkspace`]: the saturated-sim buffer bundle, the
-    /// [`power_norm_bound`] scratch and the ET-norm recording buffer come
-    /// from the per-worker pool instead of being allocated per application.
-    /// Bit-identical to the one-shot path.
-    ///
-    /// # Errors
-    ///
-    /// As [`SaturatedSwitchedModel::characterize`].
-    pub fn characterize_with(
+    pub fn characterize(
         &self,
         config: &CharacterizationConfig,
         workspace: &mut CharacterizationWorkspace,
@@ -1181,9 +1162,8 @@ impl SaturatedSwitchedModel {
 /// allocation-free twin of [`SaturatedSwitchedModel::switched_norms`], with
 /// the same early-exit machinery as [`SwitchedKernel`] extended by a
 /// saturation guard (the linear tail bound is only valid once every future
-/// input is provably inside the actuator limit). The buffers are borrowed —
-/// from a one-shot [`SatBuffers`] bundle on the allocating path, or from
-/// the [`CharacterizationWorkspace`] pool on the worker path.
+/// input is provably inside the actuator limit). The buffers are borrowed
+/// from the [`CharacterizationWorkspace`] pool.
 #[derive(Debug)]
 struct SaturatedSim<'a, 'b> {
     model: &'a SaturatedSwitchedModel,
@@ -1299,14 +1279,16 @@ mod tests {
     use super::*;
     use crate::lqr::design_by_pole_placement;
     use crate::plants;
+    use crate::DesignWorkspace;
 
     /// Linear (unsaturated) ET/TT closed loops of the servo rig, used to test
     /// the purely linear switched analysis of the paper's Eqs. (3)–(4).
     fn rig_linear_loops() -> (Matrix, Matrix) {
+        let ws = &mut DesignWorkspace::new();
         let plant = plants::servo_rig_upright();
         let h = 0.02;
-        let et_sys = DelayedLtiSystem::from_continuous(&plant, h, h).unwrap();
-        let tt_sys = DelayedLtiSystem::from_continuous(&plant, h, 0.0007).unwrap();
+        let et_sys = DelayedLtiSystem::from_continuous(&plant, h, h, ws).unwrap();
+        let tt_sys = DelayedLtiSystem::from_continuous(&plant, h, 0.0007, ws).unwrap();
         let et = design_by_pole_placement(&et_sys, &[-0.7, -0.8, -40.0]).unwrap();
         let tt = design_by_pole_placement(&tt_sys, &[-6.0, -8.0, -40.0]).unwrap();
         (et.closed_loop().clone(), tt.closed_loop().clone())
@@ -1325,10 +1307,11 @@ mod tests {
 
     /// The saturated servo-rig model with the paper's timing parameters.
     fn rig_model() -> SaturatedSwitchedModel {
+        let ws = &mut DesignWorkspace::new();
         let plant = plants::servo_rig_upright();
         let h = 0.02;
-        let et_sys = DelayedLtiSystem::from_continuous(&plant, h, h).unwrap();
-        let tt_sys = DelayedLtiSystem::from_continuous(&plant, h, 0.0007).unwrap();
+        let et_sys = DelayedLtiSystem::from_continuous(&plant, h, h, ws).unwrap();
+        let tt_sys = DelayedLtiSystem::from_continuous(&plant, h, 0.0007, ws).unwrap();
         let et = design_by_pole_placement(&et_sys, &[-0.7, -0.8, -40.0]).unwrap();
         let tt = design_by_pole_placement(&tt_sys, &[-6.0, -8.0, -40.0]).unwrap();
         SaturatedSwitchedModel::new(
@@ -1383,7 +1366,9 @@ mod tests {
             plant_order: 1,
             horizon: 500,
         };
-        let curve = characterize_dwell_vs_wait(&a1, &a2, &config).unwrap();
+        let curve =
+            characterize_dwell_vs_wait(&a1, &a2, &config, &mut CharacterizationWorkspace::new())
+                .unwrap();
         assert!(!curve.is_non_monotonic());
         let dwell: Vec<f64> = curve.points.iter().map(|p| p.dwell_time).collect();
         assert!(dwell.windows(2).all(|w| w[1] <= w[0] + 1e-12));
@@ -1392,7 +1377,13 @@ mod tests {
     #[test]
     fn linear_servo_curve_properties() {
         let (a1, a2) = rig_linear_loops();
-        let curve = characterize_dwell_vs_wait(&a1, &a2, &servo_config()).unwrap();
+        let curve = characterize_dwell_vs_wait(
+            &a1,
+            &a2,
+            &servo_config(),
+            &mut CharacterizationWorkspace::new(),
+        )
+        .unwrap();
         // The paper's orderings: xi_tt < xi_et.
         assert!(curve.xi_tt < curve.xi_et);
         // At wait = 0 the dwell equals the pure-TT settling time.
@@ -1415,7 +1406,7 @@ mod tests {
             plant_order: 2,
             horizon: 10_000,
         };
-        let curve = model.characterize(&config).unwrap();
+        let curve = model.characterize(&config, &mut CharacterizationWorkspace::new()).unwrap();
         assert!(curve.is_non_monotonic(), "rig dwell/wait relation must rise then fall");
         // Figure 3 shape: the peak dwell clearly exceeds the pure-TT response
         // and occurs at a strictly positive wait time; the pure-ET response is
@@ -1432,26 +1423,46 @@ mod tests {
         assert!(curve.points.last().unwrap().dwell_time < curve.max_dwell() / 2.0);
     }
 
+    /// A first-order plant with one delayed input: closed loops and a
+    /// configuration of a different dimension than the servo rig, to warm a
+    /// workspace on before it characterises the rig.
+    fn first_order_loops() -> (Matrix, Matrix, CharacterizationConfig) {
+        let config = CharacterizationConfig {
+            period: 0.02,
+            threshold: 0.1,
+            initial_state: vec![1.0, 0.0],
+            plant_order: 1,
+            horizon: 4000,
+        };
+        (Matrix::diagonal(&[0.98, 0.5]).unwrap(), Matrix::diagonal(&[0.6, 0.5]).unwrap(), config)
+    }
+
     #[test]
     fn pooled_characterization_matches_one_shot_and_reuses_scratch() {
         let (a1, a2) = rig_linear_loops();
         let config = servo_config();
-        let one_shot = characterize_dwell_vs_wait(&a1, &a2, &config).unwrap();
+        let fresh =
+            characterize_dwell_vs_wait(&a1, &a2, &config, &mut CharacterizationWorkspace::new())
+                .unwrap();
 
+        // A workspace already warmed on another dimension grows one entry
+        // per pool for the rig and reproduces the fresh curve bit for bit.
         let mut ws = CharacterizationWorkspace::new();
-        assert_eq!(ws.state_pool_size(), 0);
-        assert_eq!(ws.power_pool_size(), 0);
-        let pooled = characterize_dwell_vs_wait_with(&a1, &a2, &config, &mut ws).unwrap();
-        assert_eq!(pooled, one_shot);
+        let (b1, b2, other_config) = first_order_loops();
+        characterize_dwell_vs_wait(&b1, &b2, &other_config, &mut ws).unwrap();
         assert_eq!(ws.state_pool_size(), 1);
         assert_eq!(ws.power_pool_size(), 1);
+        let pooled = characterize_dwell_vs_wait(&a1, &a2, &config, &mut ws).unwrap();
+        assert_eq!(pooled, fresh);
+        assert_eq!(ws.state_pool_size(), 2);
+        assert_eq!(ws.power_pool_size(), 2);
 
         // A second characterisation of the same dimensions grows no pools —
         // the buffers are reused — and stays bit-identical on a warm pool.
-        let warm = characterize_dwell_vs_wait_with(&a1, &a2, &config, &mut ws).unwrap();
-        assert_eq!(warm, one_shot);
-        assert_eq!(ws.state_pool_size(), 1);
-        assert_eq!(ws.power_pool_size(), 1);
+        let warm = characterize_dwell_vs_wait(&a1, &a2, &config, &mut ws).unwrap();
+        assert_eq!(warm, fresh);
+        assert_eq!(ws.state_pool_size(), 2);
+        assert_eq!(ws.power_pool_size(), 2);
 
         // The pooled kernel handle matches the owning kernel point for point.
         let mut owning = SwitchedKernel::new(&a1, &a2, config.plant_order).unwrap();
@@ -1482,24 +1493,31 @@ mod tests {
             plant_order: 2,
             horizon: 10_000,
         };
-        let one_shot = model.characterize(&config).unwrap();
+        let fresh = model.characterize(&config, &mut CharacterizationWorkspace::new()).unwrap();
+        // A workspace warmed on a linear loop of another dimension first.
         let mut ws = CharacterizationWorkspace::new();
-        let pooled = model.characterize_with(&config, &mut ws).unwrap();
-        assert_eq!(pooled, one_shot);
-        assert_eq!(ws.saturated_pool_size(), 1);
+        let (b1, b2, other_config) = first_order_loops();
+        characterize_dwell_vs_wait(&b1, &b2, &other_config, &mut ws).unwrap();
+        assert_eq!(ws.saturated_pool_size(), 0);
         assert_eq!(ws.power_pool_size(), 1);
+        let pooled = model.characterize(&config, &mut ws).unwrap();
+        assert_eq!(pooled, fresh);
+        assert_eq!(ws.saturated_pool_size(), 1);
+        assert_eq!(ws.power_pool_size(), 2);
         // Warm pool: no new entries, identical curve.
-        let warm = model.characterize_with(&config, &mut ws).unwrap();
-        assert_eq!(warm, one_shot);
+        let warm = model.characterize(&config, &mut ws).unwrap();
+        assert_eq!(warm, fresh);
         assert_eq!(ws.saturated_pool_size(), 1);
-        assert_eq!(ws.power_pool_size(), 1);
+        assert_eq!(ws.power_pool_size(), 2);
     }
 
     #[test]
     fn fast_linear_characterization_matches_reference_point_for_point() {
         let (a1, a2) = rig_linear_loops();
         let config = servo_config();
-        let fast = characterize_dwell_vs_wait(&a1, &a2, &config).unwrap();
+        let fast =
+            characterize_dwell_vs_wait(&a1, &a2, &config, &mut CharacterizationWorkspace::new())
+                .unwrap();
         let reference = characterize_dwell_vs_wait_reference(&a1, &a2, &config).unwrap();
         assert_eq!(fast, reference);
     }
@@ -1514,7 +1532,7 @@ mod tests {
             plant_order: 2,
             horizon: 10_000,
         };
-        let fast = model.characterize(&config).unwrap();
+        let fast = model.characterize(&config, &mut CharacterizationWorkspace::new()).unwrap();
         let reference = model.characterize_reference(&config).unwrap();
         assert_eq!(fast, reference);
     }
@@ -1600,10 +1618,11 @@ mod tests {
 
     #[test]
     fn saturated_model_validation() {
+        let ws = &mut DesignWorkspace::new();
         let plant = plants::servo_rig_upright();
         let h = 0.02;
-        let et_sys = DelayedLtiSystem::from_continuous(&plant, h, h).unwrap();
-        let tt_sys = DelayedLtiSystem::from_continuous(&plant, h, 0.0007).unwrap();
+        let et_sys = DelayedLtiSystem::from_continuous(&plant, h, h, ws).unwrap();
+        let tt_sys = DelayedLtiSystem::from_continuous(&plant, h, 0.0007, ws).unwrap();
         let et = design_by_pole_placement(&et_sys, &[-0.7, -0.8, -40.0]).unwrap();
         let tt = design_by_pole_placement(&tt_sys, &[-6.0, -8.0, -40.0]).unwrap();
         // Bad input limit.
@@ -1625,7 +1644,7 @@ mod tests {
         )
         .is_err());
         // Mismatched periods.
-        let other = DelayedLtiSystem::from_continuous(&plant, 0.01, 0.001).unwrap();
+        let other = DelayedLtiSystem::from_continuous(&plant, 0.01, 0.001, ws).unwrap();
         assert!(SaturatedSwitchedModel::new(
             et_sys.clone(),
             other,
@@ -1654,7 +1673,7 @@ mod tests {
             plant_order: 2,
             horizon: 10_000,
         };
-        let curve = model.characterize(&config).unwrap();
+        let curve = model.characterize(&config, &mut CharacterizationWorkspace::new()).unwrap();
         let totals = curve.total_response_times();
         assert!(totals.last().unwrap() > totals.first().unwrap());
     }
@@ -1664,16 +1683,40 @@ mod tests {
         let (a1, a2) = rig_linear_loops();
         let mut config = servo_config();
         config.period = 0.0;
-        assert!(characterize_dwell_vs_wait(&a1, &a2, &config).is_err());
+        assert!(characterize_dwell_vs_wait(
+            &a1,
+            &a2,
+            &config,
+            &mut CharacterizationWorkspace::new()
+        )
+        .is_err());
         let mut config = servo_config();
         config.threshold = -1.0;
-        assert!(characterize_dwell_vs_wait(&a1, &a2, &config).is_err());
+        assert!(characterize_dwell_vs_wait(
+            &a1,
+            &a2,
+            &config,
+            &mut CharacterizationWorkspace::new()
+        )
+        .is_err());
         let mut config = servo_config();
         config.horizon = 0;
-        assert!(characterize_dwell_vs_wait(&a1, &a2, &config).is_err());
+        assert!(characterize_dwell_vs_wait(
+            &a1,
+            &a2,
+            &config,
+            &mut CharacterizationWorkspace::new()
+        )
+        .is_err());
         let mut config = servo_config();
         config.initial_state.clear();
-        assert!(characterize_dwell_vs_wait(&a1, &a2, &config).is_err());
+        assert!(characterize_dwell_vs_wait(
+            &a1,
+            &a2,
+            &config,
+            &mut CharacterizationWorkspace::new()
+        )
+        .is_err());
     }
 
     #[test]
@@ -1694,7 +1737,7 @@ mod tests {
             horizon: 50,
         };
         assert!(matches!(
-            characterize_dwell_vs_wait(&a1, &a2, &config),
+            characterize_dwell_vs_wait(&a1, &a2, &config, &mut CharacterizationWorkspace::new()),
             Err(ControlError::HorizonExceeded { .. })
         ));
     }

@@ -3,9 +3,9 @@
 
 use crate::error::{CoreError, Result};
 use cps_control::{
-    design_by_pole_placement, design_lqr_with, ContinuousStateSpace, DelayedLtiSystem,
-    DesignWorkspace, KernelMatrices, LqrWeights, PlantSimulator, SaturatedSwitchedModel,
-    StateFeedbackController, StepKernel,
+    design_by_pole_placement, design_lqr, ContinuousStateSpace, DelayedLtiSystem, DesignWorkspace,
+    KernelMatrices, LqrWeights, PlantSimulator, SaturatedSwitchedModel, StateFeedbackController,
+    StepKernel,
 };
 use std::sync::Arc;
 
@@ -74,10 +74,11 @@ pub struct ControlApplication {
 impl ControlApplication {
     /// Designs the ET and TT controllers for the given specification.
     ///
-    /// This is the one-application entry point of the fleet design pipeline:
-    /// it routes through [`crate::FleetDesigner`], so the synthesis runs on
-    /// the same workspace-threaded path as a full fleet design (and is
-    /// bit-identical to it).
+    /// This is the allocating one-application entry point: it runs
+    /// [`ControlApplication::design_with`] on a fresh [`DesignWorkspace`],
+    /// the same path [`crate::FleetDesigner`] threads its per-worker
+    /// workspaces through, so the design is bit-identical to a fleet
+    /// design's.
     ///
     /// # Examples
     ///
@@ -117,14 +118,14 @@ impl ControlApplication {
     ///   disturbance inter-arrival time, ...).
     /// * Control-design failures are propagated.
     pub fn design(spec: ApplicationSpec) -> Result<Self> {
-        crate::designer::FleetDesigner::sequential().design_one(spec)
+        Self::design_with(spec, &mut DesignWorkspace::new())
     }
 
     /// [`ControlApplication::design`] with a caller-provided
     /// [`DesignWorkspace`]: the shape the fleet designer threads through its
     /// workers, sharing discretisation and Riccati temporaries across every
     /// application of a fleet. Produces exactly the artifacts of
-    /// [`ControlApplication::design`].
+    /// [`ControlApplication::design`] for any (warm or fresh) workspace.
     ///
     /// # Errors
     ///
@@ -166,13 +167,13 @@ impl ControlApplication {
             }
         }
         let et_system =
-            DelayedLtiSystem::from_continuous_with(&spec.plant, spec.period, spec.et_delay, workspace)?;
+            DelayedLtiSystem::from_continuous(&spec.plant, spec.period, spec.et_delay, workspace)?;
         let tt_system =
-            DelayedLtiSystem::from_continuous_with(&spec.plant, spec.period, spec.tt_delay, workspace)?;
+            DelayedLtiSystem::from_continuous(&spec.plant, spec.period, spec.tt_delay, workspace)?;
         let (et_controller, tt_controller) = match &spec.controllers {
             ControllerSpec::Lqr { et_weights, tt_weights } => (
-                design_lqr_with(&et_system, et_weights, workspace)?,
-                design_lqr_with(&tt_system, tt_weights, workspace)?,
+                design_lqr(&et_system, et_weights, workspace)?,
+                design_lqr(&tt_system, tt_weights, workspace)?,
             ),
             ControllerSpec::PolePlacement { et_poles, tt_poles } => (
                 design_by_pole_placement(&et_system, et_poles)?,

@@ -206,6 +206,7 @@ pub fn derive_table(fleet: &[ControlApplication]) -> Result<Vec<AppTimingParams>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cps_sched::SlotTiming;
 
     #[test]
     fn paper_allocation_reproduces_headline_result() {
@@ -214,8 +215,8 @@ mod tests {
         assert_eq!(outcome.non_monotonic_slots, 3);
         assert_eq!(outcome.monotonic_slots, 5);
         assert!((outcome.overhead_fraction - 0.6667).abs() < 0.01);
-        assert!(outcome.non_monotonic.verify(&apps).unwrap());
-        assert!(outcome.monotonic.verify(&apps).unwrap());
+        assert!(outcome.non_monotonic.verify_with(&apps, SlotTiming::ZERO).unwrap());
+        assert!(outcome.monotonic.verify_with(&apps, SlotTiming::ZERO).unwrap());
     }
 
     #[test]
@@ -232,7 +233,7 @@ mod tests {
         let outcome = run_slot_allocation(&table).unwrap();
         assert!(outcome.non_monotonic_slots >= 1);
         assert!(outcome.monotonic_slots >= outcome.non_monotonic_slots);
-        assert!(outcome.non_monotonic.verify(&table).unwrap());
+        assert!(outcome.non_monotonic.verify_with(&table, SlotTiming::ZERO).unwrap());
     }
 
     #[test]

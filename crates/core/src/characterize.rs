@@ -4,8 +4,7 @@
 use crate::application::ControlApplication;
 use crate::error::{CoreError, Result};
 use cps_control::{
-    characterize_dwell_vs_wait_with, CharacterizationConfig, CharacterizationWorkspace,
-    DwellWaitCurve,
+    characterize_dwell_vs_wait, CharacterizationConfig, CharacterizationWorkspace, DwellWaitCurve,
 };
 use cps_sched::{AppTimingParams, DwellTimeModel, NonMonotonicModel};
 
@@ -22,23 +21,15 @@ const DEFAULT_HORIZON: usize = 3_000;
 /// simulating its switched closed loop (saturated if the application has an
 /// actuator limit, linear otherwise) — the reproduction of Figure 3.
 ///
+/// The switched-kernel / saturated-sim scratch comes from the
+/// caller-provided [`CharacterizationWorkspace`], the pool the fleet
+/// designer threads through its workers. The curve is bit-identical for any
+/// workspace state.
+///
 /// # Errors
 ///
 /// Propagates simulation and configuration failures.
-pub fn characterize_application(app: &ControlApplication) -> Result<DwellWaitCurve> {
-    characterize_application_with(app, &mut CharacterizationWorkspace::new())
-}
-
-/// [`characterize_application`] on a caller-provided
-/// [`CharacterizationWorkspace`]: the shape the fleet designer threads
-/// through its workers, so the switched-kernel / saturated-sim scratch is
-/// pooled per worker instead of rebuilt per application. The curve is
-/// bit-identical to the one-shot path for any workspace state.
-///
-/// # Errors
-///
-/// As [`characterize_application`].
-pub fn characterize_application_with(
+pub fn characterize_application(
     app: &ControlApplication,
     workspace: &mut CharacterizationWorkspace,
 ) -> Result<DwellWaitCurve> {
@@ -51,7 +42,7 @@ pub fn characterize_application_with(
             plant_order: spec.plant.order(),
             horizon: DEFAULT_HORIZON,
         };
-        return Ok(model.characterize_with(&config, workspace)?);
+        return Ok(model.characterize(&config, workspace)?);
     }
     // Linear path: simulate the delay-augmented closed loops directly.
     let mut initial = spec.disturbance.clone();
@@ -63,7 +54,7 @@ pub fn characterize_application_with(
         plant_order: spec.plant.order(),
         horizon: DEFAULT_HORIZON,
     };
-    Ok(characterize_dwell_vs_wait_with(
+    Ok(characterize_dwell_vs_wait(
         app.et_controller().closed_loop(),
         app.tt_controller().closed_loop(),
         &config,
@@ -159,26 +150,18 @@ pub fn fit_non_monotonic(curve: &DwellWaitCurve) -> Result<(f64, f64, f64, f64)>
     Ok((xi_tt, xi_et, xi_m, k_p))
 }
 
-/// Characterises an application and assembles its Table-I row.
+/// Characterises an application on the caller-provided
+/// [`CharacterizationWorkspace`] (see [`characterize_application`]) and
+/// assembles its Table-I row.
 ///
 /// # Errors
 ///
 /// Propagates characterisation and fitting failures.
-pub fn derive_timing_params(app: &ControlApplication) -> Result<AppTimingParams> {
-    derive_timing_params_with(app, &mut CharacterizationWorkspace::new())
-}
-
-/// [`derive_timing_params`] on a caller-provided
-/// [`CharacterizationWorkspace`] (see [`characterize_application_with`]).
-///
-/// # Errors
-///
-/// As [`derive_timing_params`].
-pub fn derive_timing_params_with(
+pub fn derive_timing_params(
     app: &ControlApplication,
     workspace: &mut CharacterizationWorkspace,
 ) -> Result<AppTimingParams> {
-    let curve = characterize_application_with(app, workspace)?;
+    let curve = characterize_application(app, workspace)?;
     let (xi_tt, xi_et, xi_m, k_p) = fit_non_monotonic(&curve)?;
     let spec = app.spec();
     Ok(AppTimingParams::new(
@@ -221,7 +204,8 @@ mod tests {
 
     #[test]
     fn rig_characterisation_matches_figure3_shape() {
-        let curve = characterize_application(&rig_app()).unwrap();
+        let curve =
+            characterize_application(&rig_app(), &mut CharacterizationWorkspace::new()).unwrap();
         assert!(curve.is_non_monotonic());
         assert!(curve.max_dwell() > curve.xi_tt);
         assert!(curve.xi_et > 2.0 * curve.xi_tt);
@@ -229,7 +213,8 @@ mod tests {
 
     #[test]
     fn fitted_model_dominates_measurement() {
-        let curve = characterize_application(&rig_app()).unwrap();
+        let curve =
+            characterize_application(&rig_app(), &mut CharacterizationWorkspace::new()).unwrap();
         let (xi_tt, xi_et, xi_m, k_p) = fit_non_monotonic(&curve).unwrap();
         let model = NonMonotonicModel::new(xi_tt, xi_m, k_p, xi_et).unwrap();
         for point in &curve.points {
@@ -245,7 +230,8 @@ mod tests {
 
     #[test]
     fn derived_timing_params_are_consistent() {
-        let params = derive_timing_params(&rig_app()).unwrap();
+        let params =
+            derive_timing_params(&rig_app(), &mut CharacterizationWorkspace::new()).unwrap();
         assert_eq!(params.name, "servo");
         assert!(params.xi_tt <= params.xi_m);
         assert!(params.xi_tt <= params.xi_et);

@@ -19,20 +19,21 @@
 //!   characterisations feeding the slot allocator) fan out across
 //!   `std::thread::scope` workers over contiguous index chunks, exactly like
 //!   the scenario batch engine.
-//! * **Deterministic:** results are stitched back in input order and the
-//!   workspace path is bit-identical to the allocating reference path, so
-//!   the designed artifacts are **bit-for-bit independent of the worker
-//!   count** — the property the parity suite (`tests/fleet_designer.rs`)
-//!   asserts on the paper fleet and on random stable plants.
+//! * **Deterministic:** results are stitched back in input order and a warm
+//!   workspace gives results bit-identical to a fresh one, so the designed
+//!   artifacts are **bit-for-bit independent of the worker count** — the
+//!   property the parity suite (`tests/fleet_designer.rs`) asserts on the
+//!   paper fleet and on random stable plants.
 //!
-//! Every design entry point routes through this pipeline:
-//! [`crate::ControlApplication::design`] (a one-application fleet),
-//! [`crate::DesignedFleet::design`] / [`crate::DesignedFleet::design_optimal`]
-//! (characterisation computed once, shared by the greedy incumbent and the
-//! exact branch-and-bound search), and
+//! Every design entry point runs this pipeline's code:
+//! [`crate::ControlApplication::design`] runs the per-application step each
+//! worker runs ([`crate::ControlApplication::design_with`]) on a fresh
+//! workspace, while [`crate::DesignedFleet::design`] /
+//! [`crate::DesignedFleet::design_optimal`] (characterisation computed once,
+//! shared by the greedy incumbent and the exact branch-and-bound search) and
 //! [`crate::BusConfigSweep::scenarios_for`] (characterisation computed once
 //! and reused across every candidate bus instead of re-derived per
-//! configuration).
+//! configuration) run through the pipeline itself.
 //!
 //! Note: the container this repository grows in is single-core, so the
 //! parallel fan-out degenerates to the sequential path there; the speedup
@@ -40,7 +41,7 @@
 //! host (see ROADMAP).
 
 use crate::application::{ApplicationSpec, ControlApplication};
-use crate::characterize::derive_timing_params_with;
+use crate::characterize::derive_timing_params;
 use crate::error::{CoreError, Result};
 use crate::fleet::DesignedFleet;
 use cps_control::{CharacterizationWorkspace, DesignWorkspace};
@@ -150,16 +151,6 @@ impl FleetDesigner {
         self.run(specs, |scratch, spec| ControlApplication::design_with(spec, &mut scratch.design))
     }
 
-    /// Designs a single application (a one-application fleet) on the calling
-    /// thread — the routing target of [`ControlApplication::design`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates design failures.
-    pub fn design_one(&self, spec: ApplicationSpec) -> Result<ControlApplication> {
-        ControlApplication::design_with(spec, &mut DesignWorkspace::new())
-    }
-
     /// Characterises every application (dwell/wait curve, non-monotonic
     /// model fit) and returns the fleet's Table-I rows in input order — the
     /// single characterisation pass shared by the greedy allocator seed, the
@@ -175,7 +166,7 @@ impl FleetDesigner {
         // switched-kernel / saturated-sim scratch is allocated once per
         // worker and dimension instead of once per application.
         self.run(apps.iter().collect(), |scratch, app| {
-            derive_timing_params_with(app, &mut scratch.characterization)
+            derive_timing_params(app, &mut scratch.characterization)
         })
     }
 
@@ -380,6 +371,7 @@ fn budgeted(config: &AllocatorConfig, bus_config: &FlexRayConfig) -> AllocatorCo
 mod tests {
     use super::*;
     use crate::case_study;
+    use cps_sched::SlotTiming;
 
     #[test]
     fn empty_inputs_short_circuit() {
@@ -472,7 +464,7 @@ mod tests {
         // The incumbent is still a *valid* (schedulable) slot map, and the
         // design-flow-seeded table cost no extra characterisation pass.
         let table = degraded.fleet.timing_table().unwrap();
-        assert!(degraded.fleet.allocation().verify(&table).unwrap());
+        assert!(degraded.fleet.allocation().verify_with(&table, SlotTiming::ZERO).unwrap());
         assert_eq!(degraded.fleet.characterization_passes(), 0);
     }
 }

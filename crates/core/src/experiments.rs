@@ -6,7 +6,7 @@ use crate::case_study;
 use crate::characterize::{characterize_application, fit_non_monotonic};
 use crate::cosim::{CoSimTrace, CoSimulation};
 use crate::error::Result;
-use cps_control::{plants, DwellWaitCurve};
+use cps_control::{plants, CharacterizationWorkspace, DwellWaitCurve};
 use cps_flexray::FlexRayConfig;
 use cps_sched::{AppTimingParams, DwellTimeModel, NonMonotonicModel, SimpleMonotonicModel};
 use std::fmt::Write as _;
@@ -44,7 +44,7 @@ pub fn servo_rig_application() -> Result<ControlApplication> {
 /// Propagates design and simulation failures.
 pub fn figure3_dwell_wait_curve() -> Result<DwellWaitCurve> {
     let app = servo_rig_application()?;
-    characterize_application(&app)
+    characterize_application(&app, &mut CharacterizationWorkspace::new())
 }
 
 /// Data of experiment E2 (Figure 4): the measured curve plus the three

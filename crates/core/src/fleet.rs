@@ -289,6 +289,7 @@ impl DesignedFleet {
 mod tests {
     use super::*;
     use crate::case_study;
+    use cps_sched::SlotTiming;
 
     fn designed() -> Arc<DesignedFleet> {
         let apps = case_study::derived_fleet().unwrap();
@@ -325,7 +326,7 @@ mod tests {
                 .unwrap(),
         );
         assert!(fleet.slot_count() <= greedy.slot_count());
-        assert!(fleet.allocation().verify(&table).unwrap());
+        assert!(fleet.allocation().verify_with(&table, SlotTiming::ZERO).unwrap());
         // The optimal design is a drop-in fleet: engines spawn and run.
         let mut engine = fleet.engine().unwrap();
         engine.inject_disturbances().unwrap();

@@ -88,10 +88,7 @@ pub use campaign::{
     ScenarioSource, SettlingProbability,
 };
 pub use case_study::CaseStudyOutcome;
-pub use characterize::{
-    characterize_application, characterize_application_with, derive_timing_params,
-    derive_timing_params_with, fit_non_monotonic,
-};
+pub use characterize::{characterize_application, derive_timing_params, fit_non_monotonic};
 pub use cosim::{
     AppTrace, CoSimTrace, CoSimulation, DegradationConfig, ModeSwitchStorm, RunMetrics,
     TracePoint,

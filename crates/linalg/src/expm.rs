@@ -6,44 +6,12 @@ use crate::error::{LinalgError, Result};
 use crate::lu::Lu;
 use crate::matrix::Matrix;
 
-/// Computes the matrix exponential `e^A` using scaling-and-squaring with a
-/// Padé(6,6) approximant.
-///
-/// Accuracy is more than sufficient for the small (≤ 10 state) control
-/// matrices in this repository.
-///
-/// # Errors
-///
-/// * [`LinalgError::NotSquare`] if `a` is rectangular.
-/// * [`LinalgError::InvalidArgument`] if `a` contains non-finite entries.
-/// * [`LinalgError::Singular`] if the Padé denominator cannot be inverted
-///   (does not happen for finite input after scaling).
-///
-/// # Example
-///
-/// ```
-/// use cps_linalg::{expm, Matrix};
-///
-/// let a = Matrix::from_rows(&[&[0.0, 1.0], &[0.0, 0.0]])?;
-/// let e = expm(&a)?;
-/// // exp([[0,1],[0,0]]) = [[1,1],[0,1]]
-/// assert!(e.approx_eq(&Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 1.0]])?, 1e-12));
-/// # Ok::<(), cps_linalg::LinalgError>(())
-/// ```
-pub fn expm(a: &Matrix) -> Result<Matrix> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare { shape: a.shape(), op: "expm" });
-    }
-    let mut workspace = ExpmWorkspace::new(a.rows());
-    expm_with(a, &mut workspace)
-}
-
-/// Pre-allocated temporaries for [`expm_with`], sized once for `n × n`
-/// matrices: the scaled input, the Padé term ping-pong pair, the
-/// numerator/denominator accumulators, the squaring scratch and the reusable
-/// LU factorisation of the Padé denominator. Design loops that discretise
-/// many plants of the same order reuse one workspace instead of allocating
-/// ~30 temporaries per exponential; only the returned result is allocated.
+/// Pre-allocated temporaries for [`expm`], sized once for `n × n` matrices:
+/// the scaled input, the Padé term ping-pong pair, the numerator/denominator
+/// accumulators, the squaring scratch and the reusable LU factorisation of
+/// the Padé denominator. Design loops that discretise many plants of the
+/// same order reuse one workspace instead of allocating ~30 temporaries per
+/// exponential.
 #[derive(Debug, Clone)]
 pub struct ExpmWorkspace {
     scaled: Matrix,
@@ -83,30 +51,37 @@ impl ExpmWorkspace {
     }
 }
 
-/// [`expm`] with a caller-provided [`ExpmWorkspace`]; every inner operation
-/// is the in-place twin of the allocating original, so the result is
-/// bit-identical to [`expm`].
+/// Computes the matrix exponential `e^A` into `out`, using
+/// scaling-and-squaring with a Padé(6,6) approximant.
+///
+/// Accuracy is more than sufficient for the small (≤ 10 state) control
+/// matrices in this repository. Every temporary lives in the caller-provided
+/// [`ExpmWorkspace`], so with a warm workspace the call performs no heap
+/// allocation at all (the designer's steady-state loop, proved by
+/// `tests/zero_alloc.rs`).
 ///
 /// # Errors
 ///
-/// As [`expm`]; additionally [`LinalgError::ShapeMismatch`] if the workspace
-/// was sized for a different order.
-pub fn expm_with(a: &Matrix, workspace: &mut ExpmWorkspace) -> Result<Matrix> {
-    let mut result = Matrix::zeros(a.rows().max(1), a.cols().max(1));
-    expm_into(a, workspace, &mut result)?;
-    Ok(result)
-}
-
-/// [`expm_with`] writing the exponential into a caller-provided output
-/// matrix: with a warm workspace the call performs no heap allocation at
-/// all (the designer's steady-state loop, proved by `tests/zero_alloc.rs`).
-/// Produces exactly the values of [`expm`].
+/// * [`LinalgError::NotSquare`] if `a` is rectangular.
+/// * [`LinalgError::InvalidArgument`] if `a` contains non-finite entries.
+/// * [`LinalgError::ShapeMismatch`] if the workspace was sized for a
+///   different order or `out` has the wrong shape.
+/// * [`LinalgError::Singular`] if the Padé denominator cannot be inverted
+///   (does not happen for finite input after scaling).
 ///
-/// # Errors
+/// # Example
 ///
-/// As [`expm_with`]; additionally [`LinalgError::ShapeMismatch`] if `out`
-/// has the wrong shape.
-pub fn expm_into(a: &Matrix, workspace: &mut ExpmWorkspace, out: &mut Matrix) -> Result<()> {
+/// ```
+/// use cps_linalg::{expm, ExpmWorkspace, Matrix};
+///
+/// let a = Matrix::from_rows(&[&[0.0, 1.0], &[0.0, 0.0]])?;
+/// let mut e = Matrix::zeros(2, 2);
+/// expm(&a, &mut ExpmWorkspace::new(2), &mut e)?;
+/// // exp([[0,1],[0,0]]) = [[1,1],[0,1]]
+/// assert!(e.approx_eq(&Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 1.0]])?, 1e-12));
+/// # Ok::<(), cps_linalg::LinalgError>(())
+/// ```
+pub fn expm(a: &Matrix, workspace: &mut ExpmWorkspace, out: &mut Matrix) -> Result<()> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare { shape: a.shape(), op: "expm" });
     }
@@ -178,29 +153,19 @@ pub fn expm_into(a: &Matrix, workspace: &mut ExpmWorkspace, out: &mut Matrix) ->
 ///
 /// Both are computed simultaneously from the exponential of the augmented
 /// matrix `[[A, B], [0, 0]]`, which is numerically robust even when `A` is
-/// singular (pure integrators such as the servo-position plant).
+/// singular (pure integrators such as the servo-position plant). The
+/// exponential runs on the caller-provided [`ExpmWorkspace`], sized for the
+/// augmented order `n + m`, so design loops that discretise many plants of
+/// the same order share one set of temporaries.
 ///
 /// # Errors
 ///
 /// * [`LinalgError::NotSquare`] if `a` is rectangular.
 /// * [`LinalgError::ShapeMismatch`] if `b` has a different number of rows
-///   than `a`.
+///   than `a`, or the workspace was not sized for the augmented order
+///   `n + m`.
 /// * [`LinalgError::InvalidArgument`] if `dt` is not positive and finite.
-pub fn discretize_zoh(a: &Matrix, b: &Matrix, dt: f64) -> Result<(Matrix, Matrix)> {
-    let mut workspace = ExpmWorkspace::new((a.rows() + b.cols()).max(1));
-    discretize_zoh_with(a, b, dt, &mut workspace)
-}
-
-/// [`discretize_zoh`] with a caller-provided [`ExpmWorkspace`] sized for the
-/// augmented order `n + m`, so design loops that discretise many plants of
-/// the same order share one set of exponential temporaries. Produces exactly
-/// the values of [`discretize_zoh`].
-///
-/// # Errors
-///
-/// As [`discretize_zoh`]; additionally [`LinalgError::ShapeMismatch`] if the
-/// workspace was sized for a different augmented order.
-pub fn discretize_zoh_with(
+pub fn discretize_zoh(
     a: &Matrix,
     b: &Matrix,
     dt: f64,
@@ -227,7 +192,8 @@ pub fn discretize_zoh_with(
     let mut aug = Matrix::zeros(n + m, n + m);
     aug.set_block(0, 0, &a.scale(dt))?;
     aug.set_block(0, n, &b.scale(dt))?;
-    let exp_aug = expm_with(&aug, workspace)?;
+    let mut exp_aug = Matrix::zeros(n + m, n + m);
+    expm(&aug, workspace, &mut exp_aug)?;
     let phi = exp_aug.block(0, 0, n, n)?;
     let gamma = exp_aug.block(0, n, n, m)?;
     Ok((phi, gamma))
@@ -242,22 +208,10 @@ pub fn discretize_zoh_with(
 ///
 /// # Errors
 ///
-/// Same conditions as [`discretize_zoh`], plus
-/// [`LinalgError::InvalidArgument`] if `t0 > t1` or `t0 < 0`.
-pub fn input_integral(a: &Matrix, b: &Matrix, t0: f64, t1: f64) -> Result<Matrix> {
-    let mut workspace = ExpmWorkspace::new((a.rows() + b.cols()).max(1));
-    input_integral_with(a, b, t0, t1, &mut workspace)
-}
-
-/// [`input_integral`] with a caller-provided [`ExpmWorkspace`] sized for the
-/// augmented order `n + m` (shared by the two inner discretisations).
-/// Produces exactly the values of [`input_integral`].
-///
-/// # Errors
-///
-/// As [`input_integral`]; additionally [`LinalgError::ShapeMismatch`] if the
-/// workspace was sized for a different augmented order.
-pub fn input_integral_with(
+/// Same conditions as [`discretize_zoh`] (the workspace is shared by its
+/// two inner discretisations), plus [`LinalgError::InvalidArgument`] if
+/// `t0 > t1` or `t0 < 0`.
+pub fn input_integral(
     a: &Matrix,
     b: &Matrix,
     t0: f64,
@@ -268,6 +222,9 @@ pub fn input_integral_with(
         return Err(LinalgError::InvalidArgument {
             reason: format!("integral bounds must satisfy 0 <= t0 <= t1, got [{t0}, {t1}]"),
         });
+    }
+    if !a.is_square() {
+        return Err(LinalgError::NotSquare { shape: a.shape(), op: "input_integral" });
     }
     if b.rows() != a.rows() {
         return Err(LinalgError::ShapeMismatch {
@@ -280,11 +237,11 @@ pub fn input_integral_with(
         return Ok(Matrix::zeros(a.rows(), b.cols()));
     }
     // ∫_{t0}^{t1} e^{A s} ds B = ∫_0^{t1} ... − ∫_0^{t0} ...
-    let (_, g1) = discretize_zoh_with(a, b, t1, workspace)?;
+    let (_, g1) = discretize_zoh(a, b, t1, workspace)?;
     if t0 == 0.0 {
         return Ok(g1);
     }
-    let (_, g0) = discretize_zoh_with(a, b, t0, workspace)?;
+    let (_, g0) = discretize_zoh(a, b, t0, workspace)?;
     g1.sub_matrix(&g0)
 }
 
@@ -292,16 +249,28 @@ pub fn input_integral_with(
 mod tests {
     use super::*;
 
+    /// `e^A` on a fresh workspace.
+    fn expm_fresh(a: &Matrix) -> Result<Matrix> {
+        let mut out = Matrix::zeros(a.rows(), a.cols());
+        expm(a, &mut ExpmWorkspace::new(a.rows()), &mut out)?;
+        Ok(out)
+    }
+
+    /// A fresh workspace for the augmented order of the pair `(a, b)`.
+    fn fresh(a: &Matrix, b: &Matrix) -> ExpmWorkspace {
+        ExpmWorkspace::new(a.rows() + b.cols())
+    }
+
     #[test]
     fn expm_of_zero_is_identity() {
         let z = Matrix::zeros(3, 3);
-        assert!(expm(&z).unwrap().approx_eq(&Matrix::identity(3), 1e-14));
+        assert!(expm_fresh(&z).unwrap().approx_eq(&Matrix::identity(3), 1e-14));
     }
 
     #[test]
     fn expm_of_diagonal() {
         let a = Matrix::diagonal(&[1.0, -2.0]).unwrap();
-        let e = expm(&a).unwrap();
+        let e = expm_fresh(&a).unwrap();
         assert!((e[(0, 0)] - 1f64.exp()).abs() < 1e-10);
         assert!((e[(1, 1)] - (-2f64).exp()).abs() < 1e-10);
         assert!(e[(0, 1)].abs() < 1e-12);
@@ -312,7 +281,7 @@ mod tests {
         // exp([[0, -w], [w, 0]] t) = [[cos wt, -sin wt], [sin wt, cos wt]]
         let w = 2.0;
         let a = Matrix::from_rows(&[&[0.0, -w], &[w, 0.0]]).unwrap();
-        let e = expm(&a).unwrap();
+        let e = expm_fresh(&a).unwrap();
         assert!((e[(0, 0)] - w.cos()).abs() < 1e-9);
         assert!((e[(1, 0)] - w.sin()).abs() < 1e-9);
     }
@@ -320,7 +289,7 @@ mod tests {
     #[test]
     fn expm_large_norm_uses_squaring() {
         let a = Matrix::diagonal(&[5.0, -5.0]).unwrap();
-        let e = expm(&a).unwrap();
+        let e = expm_fresh(&a).unwrap();
         assert!((e[(0, 0)] - 5f64.exp()).abs() / 5f64.exp() < 1e-9);
         assert!((e[(1, 1)] - (-5f64).exp()).abs() < 1e-9);
     }
@@ -329,23 +298,33 @@ mod tests {
     fn expm_with_workspace_is_bit_identical_and_reusable() {
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[-4.0, -0.8]]).unwrap();
         let big = Matrix::diagonal(&[5.0, -5.0]).unwrap();
-        let reference_a = expm(&a).unwrap();
-        let reference_big = expm(&big).unwrap();
+        let fresh_a = expm_fresh(&a).unwrap();
+        let fresh_big = expm_fresh(&big).unwrap();
+        // One reused workspace (and output), warmed on the squaring path of
+        // `big` first, reproduces the fresh-workspace results bit for bit.
         let mut ws = ExpmWorkspace::new(2);
-        assert_eq!(expm_with(&a, &mut ws).unwrap(), reference_a);
-        assert_eq!(expm_with(&big, &mut ws).unwrap(), reference_big);
-        assert_eq!(expm_with(&a, &mut ws).unwrap(), reference_a);
-        // Wrong workspace order is rejected.
+        let mut out = Matrix::zeros(2, 2);
+        expm(&big, &mut ws, &mut out).unwrap();
+        assert_eq!(out, fresh_big);
+        expm(&a, &mut ws, &mut out).unwrap();
+        assert_eq!(out, fresh_a);
+        expm(&big, &mut ws, &mut out).unwrap();
+        assert_eq!(out, fresh_big);
+        // A workspace warmed on another order rejects the matrix, as does a
+        // wrongly shaped output.
         let mut wrong = ExpmWorkspace::new(3);
-        assert!(expm_with(&a, &mut wrong).is_err());
+        let mut out3 = Matrix::zeros(3, 3);
+        expm(&Matrix::identity(3), &mut wrong, &mut out3).unwrap();
+        assert!(expm(&a, &mut wrong, &mut out).is_err());
+        assert!(expm(&a, &mut ws, &mut out3).is_err());
     }
 
     #[test]
     fn expm_rejects_bad_input() {
-        assert!(expm(&Matrix::zeros(2, 3)).is_err());
+        assert!(expm_fresh(&Matrix::zeros(2, 3)).is_err());
         let mut nan = Matrix::identity(2);
         nan[(1, 1)] = f64::INFINITY;
-        assert!(expm(&nan).is_err());
+        assert!(expm_fresh(&nan).is_err());
     }
 
     #[test]
@@ -355,7 +334,7 @@ mod tests {
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[0.0, 0.0]]).unwrap();
         let b = Matrix::column(&[0.0, 1.0]).unwrap();
         let h = 0.02;
-        let (phi, gamma) = discretize_zoh(&a, &b, h).unwrap();
+        let (phi, gamma) = discretize_zoh(&a, &b, h, &mut fresh(&a, &b)).unwrap();
         assert!((phi[(0, 1)] - h).abs() < 1e-12);
         assert!((gamma[(0, 0)] - h * h / 2.0).abs() < 1e-12);
         assert!((gamma[(1, 0)] - h).abs() < 1e-12);
@@ -369,7 +348,7 @@ mod tests {
         let a = Matrix::from_rows(&[&[-a_coeff]]).unwrap();
         let b = Matrix::from_rows(&[&[b_coeff]]).unwrap();
         let h = 0.1;
-        let (phi, gamma) = discretize_zoh(&a, &b, h).unwrap();
+        let (phi, gamma) = discretize_zoh(&a, &b, h, &mut fresh(&a, &b)).unwrap();
         assert!((phi[(0, 0)] - (-a_coeff * h).exp()).abs() < 1e-10);
         assert!((gamma[(0, 0)] - b_coeff * (1.0 - (-a_coeff * h).exp()) / a_coeff).abs() < 1e-10);
     }
@@ -378,10 +357,13 @@ mod tests {
     fn zoh_rejects_bad_arguments() {
         let a = Matrix::identity(2);
         let b = Matrix::column(&[1.0, 0.0]).unwrap();
-        assert!(discretize_zoh(&a, &b, 0.0).is_err());
-        assert!(discretize_zoh(&a, &b, f64::NAN).is_err());
-        assert!(discretize_zoh(&a, &Matrix::column(&[1.0]).unwrap(), 0.1).is_err());
-        assert!(discretize_zoh(&Matrix::zeros(2, 3), &b, 0.1).is_err());
+        let mut ws = fresh(&a, &b);
+        assert!(discretize_zoh(&a, &b, 0.0, &mut ws).is_err());
+        assert!(discretize_zoh(&a, &b, f64::NAN, &mut ws).is_err());
+        assert!(discretize_zoh(&a, &Matrix::column(&[1.0]).unwrap(), 0.1, &mut ws).is_err());
+        assert!(discretize_zoh(&Matrix::zeros(2, 3), &b, 0.1, &mut ws).is_err());
+        // A workspace sized for another augmented order is rejected.
+        assert!(discretize_zoh(&a, &b, 0.1, &mut ExpmWorkspace::new(2)).is_err());
     }
 
     #[test]
@@ -391,9 +373,10 @@ mod tests {
         let b = Matrix::column(&[0.0, 1.5]).unwrap();
         let h = 0.02;
         let d = 0.007;
-        let (_, gamma_full) = discretize_zoh(&a, &b, h).unwrap();
-        let gamma0 = input_integral(&a, &b, 0.0, h - d).unwrap();
-        let gamma1 = input_integral(&a, &b, h - d, h).unwrap();
+        let mut ws = fresh(&a, &b);
+        let (_, gamma_full) = discretize_zoh(&a, &b, h, &mut ws).unwrap();
+        let gamma0 = input_integral(&a, &b, 0.0, h - d, &mut ws).unwrap();
+        let gamma1 = input_integral(&a, &b, h - d, h, &mut ws).unwrap();
         let sum = gamma0.add_matrix(&gamma1).unwrap();
         assert!(sum.approx_eq(&gamma_full, 1e-10));
     }
@@ -402,9 +385,20 @@ mod tests {
     fn input_integral_degenerate_bounds() {
         let a = Matrix::identity(2);
         let b = Matrix::column(&[1.0, 1.0]).unwrap();
-        let zero = input_integral(&a, &b, 0.01, 0.01).unwrap();
+        let mut ws = fresh(&a, &b);
+        let zero = input_integral(&a, &b, 0.01, 0.01, &mut ws).unwrap();
         assert!(zero.approx_eq(&Matrix::zeros(2, 1), 1e-15));
-        assert!(input_integral(&a, &b, 0.02, 0.01).is_err());
-        assert!(input_integral(&a, &b, -0.1, 0.01).is_err());
+        assert!(input_integral(&a, &b, 0.02, 0.01, &mut ws).is_err());
+        assert!(input_integral(&a, &b, -0.1, 0.01, &mut ws).is_err());
+        // A rectangular `a` is rejected whatever the bounds, including the
+        // zero-width interval that returns early.
+        let rect = Matrix::zeros(2, 3);
+        let col = Matrix::zeros(2, 1);
+        for (t0, t1) in [(0.01, 0.01), (0.0, 0.01), (0.0, 0.0)] {
+            assert!(matches!(
+                input_integral(&rect, &col, t0, t1, &mut ws),
+                Err(LinalgError::NotSquare { shape: (2, 3), op: "input_integral" })
+            ));
+        }
     }
 }

@@ -29,18 +29,30 @@
 //! * [`solve_discrete_lyapunov`] — Lyapunov-based stability certificates.
 //! * [`solve_dare`] / [`dlqr`] — discrete Riccati equation and LQR synthesis.
 //!
+//! The matrix exponential and the Riccati solver each have exactly one
+//! signature, and it takes the caller's workspace ([`ExpmWorkspace`],
+//! [`RiccatiWorkspace`]): a one-off call passes a fresh workspace, a design
+//! loop reuses a warm one and allocates nothing per iteration. A fresh and a
+//! warm workspace give bit-identical results. The allocating
+//! [`solve_dare_reference`] is kept as the oracle the tests compare against.
+//!
 //! # Example
 //!
 //! ```
-//! use cps_linalg::{dlqr, discretize_zoh, is_schur_stable, DareOptions, Matrix};
+//! use cps_linalg::{
+//!     dlqr, discretize_zoh, is_schur_stable, DareOptions, ExpmWorkspace, Matrix,
+//!     RiccatiWorkspace,
+//! };
 //!
-//! // Continuous-time double integrator, sampled with h = 20 ms.
+//! // Continuous-time double integrator, sampled with h = 20 ms. The ZOH
+//! // exponential works on the augmented order n + m = 3.
 //! let a = Matrix::from_rows(&[&[0.0, 1.0], &[0.0, 0.0]])?;
 //! let b = Matrix::column(&[0.0, 1.0])?;
-//! let (phi, gamma) = discretize_zoh(&a, &b, 0.02)?;
+//! let (phi, gamma) = discretize_zoh(&a, &b, 0.02, &mut ExpmWorkspace::new(3))?;
 //!
+//! let mut riccati = RiccatiWorkspace::new(2, 1);
 //! let sol = dlqr(&phi, &gamma, &Matrix::identity(2), &Matrix::from_rows(&[&[0.1]])?,
-//!                DareOptions::default())?;
+//!                DareOptions::default(), &mut riccati)?;
 //! let closed_loop = phi.sub_matrix(&gamma.matmul(&sol.gain)?)?;
 //! assert!(is_schur_stable(&closed_loop)?);
 //! # Ok::<(), cps_linalg::LinalgError>(())
@@ -62,16 +74,12 @@ pub mod eig;
 
 pub use eig::{eigenvalues, is_hurwitz_stable, is_schur_stable, spectral_radius, Complex};
 pub use error::{LinalgError, Result};
-pub use expm::{
-    discretize_zoh, discretize_zoh_with, expm, expm_into, expm_with, input_integral,
-    input_integral_with, ExpmWorkspace,
-};
+pub use expm::{discretize_zoh, expm, input_integral, ExpmWorkspace};
 pub use lu::{determinant, inverse, solve, Lu};
 pub use lyapunov::{is_positive_definite, is_schur_stable_lyapunov, solve_discrete_lyapunov};
 pub use matrix::{axpy, dot, vec_norm, Matrix};
 pub use qr::{polyfit, polyval, Qr};
 pub use riccati::{
-    dlqr, dlqr_with, solve_dare, solve_dare_in_place, solve_dare_reference, solve_dare_with,
-    DareOptions, LqrSolution, RiccatiWorkspace,
+    dlqr, solve_dare, solve_dare_reference, DareOptions, LqrSolution, RiccatiWorkspace,
 };
 pub use specialized::{axpy_n, matmul_kernel_n, matvec_kernel_dyn, matvec_kernel_n};

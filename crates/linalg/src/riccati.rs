@@ -33,56 +33,23 @@ impl Default for DareOptions {
 /// iteration). For stabilisable `(A, B)` and detectable `(A, Q^{1/2})` the
 /// recursion converges to the unique stabilising solution.
 ///
+/// The solution is left in the caller-provided [`RiccatiWorkspace`]
+/// ([`RiccatiWorkspace::solution`]), which also holds every temporary of the
+/// recursion: with a warm workspace a solve performs no heap allocation at
+/// all (proved by `tests/zero_alloc.rs`). Produces exactly the values of
+/// [`solve_dare_reference`] (every inner operation is the in-place variant
+/// of the corresponding allocating one).
+///
 /// # Errors
 ///
 /// * Shape errors if the operands are malformed.
+/// * [`LinalgError::ShapeMismatch`] if the workspace was sized for different
+///   dimensions.
 /// * [`LinalgError::InvalidArgument`] if `Q` or `R` is not symmetric.
 /// * [`LinalgError::Singular`] if `R + BᵀPB` becomes singular.
 /// * [`LinalgError::NotConverged`] if the recursion does not converge (for
 ///   example because the pair is not stabilisable).
 pub fn solve_dare(
-    a: &Matrix,
-    b: &Matrix,
-    q: &Matrix,
-    r: &Matrix,
-    options: DareOptions,
-) -> Result<Matrix> {
-    let mut workspace = RiccatiWorkspace::new(a.rows().max(1), b.cols().max(1));
-    solve_dare_with(a, b, q, r, options, &mut workspace)
-}
-
-/// [`solve_dare`] with a caller-provided [`RiccatiWorkspace`], so repeated
-/// designs in a sweep reuse one set of temporaries instead of allocating ~9
-/// matrices per Riccati iteration. Produces exactly the values of
-/// [`solve_dare_reference`] (every inner operation is the in-place variant of
-/// the corresponding allocating one).
-///
-/// # Errors
-///
-/// As [`solve_dare`]; additionally [`LinalgError::ShapeMismatch`] if the
-/// workspace was sized for different dimensions.
-pub fn solve_dare_with(
-    a: &Matrix,
-    b: &Matrix,
-    q: &Matrix,
-    r: &Matrix,
-    options: DareOptions,
-    workspace: &mut RiccatiWorkspace,
-) -> Result<Matrix> {
-    solve_dare_in_place(a, b, q, r, options, workspace)?;
-    Ok(workspace.p.clone())
-}
-
-/// [`solve_dare_with`] without materialising the result: the stabilising
-/// solution is left in the workspace ([`RiccatiWorkspace::solution`]), so the
-/// steady-state design loop — warm workspace, repeated solves — performs no
-/// heap allocation at all (proved by `tests/zero_alloc.rs`). Produces exactly
-/// the values of [`solve_dare_reference`].
-///
-/// # Errors
-///
-/// As [`solve_dare_with`].
-pub fn solve_dare_in_place(
     a: &Matrix,
     b: &Matrix,
     q: &Matrix,
@@ -168,8 +135,8 @@ fn max_abs_difference(left: &Matrix, right: &Matrix) -> f64 {
 }
 
 /// Pre-allocated temporaries for the Riccati iteration step /
-/// [`solve_dare_with`] / [`dlqr_with`], sized once for an `n`-state,
-/// `m`-input problem.
+/// [`solve_dare`] / [`dlqr`], sized once for an `n`-state, `m`-input
+/// problem.
 ///
 /// One workspace serves any number of designs with the same dimensions —
 /// the sweep workloads (threshold re-design, fleet variants) construct it
@@ -200,10 +167,10 @@ pub struct RiccatiWorkspace {
     correction: Matrix,
     /// The next Riccati iterate (n × n).
     next: Matrix,
-    /// `Bᵀ·P` (m × n), used by the final gain computation of [`dlqr_with`].
+    /// `Bᵀ·P` (m × n), used by the final gain computation of [`dlqr`].
     btp: Matrix,
-    /// The current Riccati iterate; after a successful
-    /// [`solve_dare_in_place`] it holds the stabilising DARE solution
+    /// The current Riccati iterate; after a successful [`solve_dare`] it
+    /// holds the stabilising DARE solution
     /// ([`RiccatiWorkspace::solution`]).
     p: Matrix,
     /// `Pᵀ` scratch for the final in-place symmetrisation (n × n).
@@ -250,8 +217,8 @@ impl RiccatiWorkspace {
         (self.at.rows(), self.bt.rows())
     }
 
-    /// The DARE solution left behind by the last successful
-    /// [`solve_dare_in_place`] (all-zero before the first solve).
+    /// The DARE solution left behind by the last successful [`solve_dare`]
+    /// (all-zero before the first solve).
     pub fn solution(&self) -> &Matrix {
         &self.p
     }
@@ -355,25 +322,29 @@ pub struct LqrSolution {
 /// Designs an infinite-horizon discrete-time LQR controller.
 ///
 /// Returns the gain `K` (with the convention `u[k] = −K·x[k]`) and the
-/// Riccati cost matrix `P` minimising `Σ (xᵀQx + uᵀRu)`.
+/// Riccati cost matrix `P` minimising `Σ (xᵀQx + uᵀRu)`. Every Riccati
+/// iteration and the final gain computation run on the caller-provided
+/// [`RiccatiWorkspace`], so repeated syntheses (threshold sweeps,
+/// fleet-variant design loops) share one set of temporaries.
 ///
 /// # Errors
 ///
-/// Propagates the DARE solver errors; additionally fails with
+/// Propagates the [`solve_dare`] errors; additionally fails with
 /// [`LinalgError::Singular`] if `R + BᵀPB` is singular at the final gain
 /// computation.
 ///
 /// # Example
 ///
 /// ```
-/// use cps_linalg::{dlqr, DareOptions, Matrix};
+/// use cps_linalg::{dlqr, DareOptions, Matrix, RiccatiWorkspace};
 ///
 /// // Double integrator sampled at 0.1 s.
 /// let a = Matrix::from_rows(&[&[1.0, 0.1], &[0.0, 1.0]])?;
 /// let b = Matrix::column(&[0.005, 0.1])?;
 /// let q = Matrix::identity(2);
 /// let r = Matrix::from_rows(&[&[0.1]])?;
-/// let sol = dlqr(&a, &b, &q, &r, DareOptions::default())?;
+/// let mut workspace = RiccatiWorkspace::new(2, 1);
+/// let sol = dlqr(&a, &b, &q, &r, DareOptions::default(), &mut workspace)?;
 /// assert_eq!(sol.gain.shape(), (1, 2));
 /// # Ok::<(), cps_linalg::LinalgError>(())
 /// ```
@@ -383,27 +354,9 @@ pub fn dlqr(
     q: &Matrix,
     r: &Matrix,
     options: DareOptions,
-) -> Result<LqrSolution> {
-    let mut workspace = RiccatiWorkspace::new(a.rows().max(1), b.cols().max(1));
-    dlqr_with(a, b, q, r, options, &mut workspace)
-}
-
-/// [`dlqr`] with a caller-provided [`RiccatiWorkspace`]: repeated syntheses
-/// (threshold sweeps, fleet-variant design loops) share one set of
-/// temporaries across all Riccati iterations and the final gain computation.
-///
-/// # Errors
-///
-/// As [`dlqr`].
-pub fn dlqr_with(
-    a: &Matrix,
-    b: &Matrix,
-    q: &Matrix,
-    r: &Matrix,
-    options: DareOptions,
     workspace: &mut RiccatiWorkspace,
 ) -> Result<LqrSolution> {
-    solve_dare_in_place(a, b, q, r, options, workspace)?;
+    solve_dare(a, b, q, r, options, workspace)?;
     // gram = R + (BᵀP)·B, rhs = (BᵀP)·A — the same associativity as the
     // original allocating path, so gains are unchanged bit for bit.
     let RiccatiWorkspace { bt, btp, btpb, gram, btpa, gain, p, lu, column, solution, .. } =
@@ -456,12 +409,19 @@ mod tests {
         (a, b)
     }
 
+    /// A fresh workspace sized for the pair `(a, b)`.
+    fn fresh(a: &Matrix, b: &Matrix) -> RiccatiWorkspace {
+        RiccatiWorkspace::new(a.rows().max(1), b.cols().max(1))
+    }
+
     #[test]
     fn dare_solution_satisfies_equation() {
         let (a, b) = double_integrator(0.05);
         let q = Matrix::identity(2);
         let r = Matrix::from_rows(&[&[0.5]]).unwrap();
-        let p = solve_dare(&a, &b, &q, &r, DareOptions::default()).unwrap();
+        let mut fresh_ws = fresh(&a, &b);
+        solve_dare(&a, &b, &q, &r, DareOptions::default(), &mut fresh_ws).unwrap();
+        let p = fresh_ws.solution().clone();
 
         // Residual of the DARE must be tiny.
         let next = riccati_step_reference(&a, &b, &q, &r, &p).unwrap();
@@ -479,11 +439,15 @@ mod tests {
         riccati_step_into(&a, &b, &q, &r, &mut ws).unwrap();
         assert_eq!(ws.next, next);
 
-        // And the workspace is reusable across designs without drift; the
-        // in-place variant leaves the same solution in the workspace.
-        let p_again = solve_dare_with(&a, &b, &q, &r, DareOptions::default(), &mut ws).unwrap();
-        assert_eq!(p_again, p);
-        solve_dare_in_place(&a, &b, &q, &r, DareOptions::default(), &mut ws).unwrap();
+        // And the workspace is reusable across designs without drift: the
+        // stepped workspace, and one warmed on a different plant of the same
+        // dimensions, leave exactly the fresh solution behind.
+        solve_dare(&a, &b, &q, &r, DareOptions::default(), &mut ws).unwrap();
+        assert_eq!(ws.solution(), &p);
+        let (other_a, other_b) = double_integrator(0.2);
+        solve_dare(&other_a, &other_b, &q, &r, DareOptions::default(), &mut ws).unwrap();
+        assert_ne!(ws.solution(), &p);
+        solve_dare(&a, &b, &q, &r, DareOptions::default(), &mut ws).unwrap();
         assert_eq!(ws.solution(), &p);
         assert_eq!(ws.dims(), (2, 1));
     }
@@ -493,9 +457,22 @@ mod tests {
         let (a, b) = double_integrator(0.05);
         let q = Matrix::identity(2);
         let r = Matrix::from_rows(&[&[0.5]]).unwrap();
-        let mut wrong = RiccatiWorkspace::new(3, 1);
-        assert!(solve_dare_with(&a, &b, &q, &r, DareOptions::default(), &mut wrong).is_err());
-        assert!(dlqr_with(&a, &b, &q, &r, DareOptions::default(), &mut wrong).is_err());
+        // A workspace warmed on a 3-state problem rejects the 2-state one...
+        let a3 = Matrix::diagonal(&[0.9, 0.8, 1.1]).unwrap();
+        let b3 = Matrix::column(&[1.0, 0.5, 0.2]).unwrap();
+        let q3 = Matrix::identity(3);
+        let mut warm = RiccatiWorkspace::new(3, 1);
+        let fresh3 = dlqr(&a3, &b3, &q3, &r, DareOptions::default(), &mut warm).unwrap();
+        assert!(solve_dare(&a, &b, &q, &r, DareOptions::default(), &mut warm).is_err());
+        assert!(dlqr(&a, &b, &q, &r, DareOptions::default(), &mut warm).is_err());
+        // ...and the rejection leaves it fit for its own dimension: it still
+        // reproduces a fresh workspace's design bit for bit.
+        assert_eq!(dlqr(&a3, &b3, &q3, &r, DareOptions::default(), &mut warm).unwrap(), fresh3);
+        assert_eq!(
+            dlqr(&a3, &b3, &q3, &r, DareOptions::default(), &mut RiccatiWorkspace::new(3, 1))
+                .unwrap(),
+            fresh3
+        );
     }
 
     #[test]
@@ -503,12 +480,19 @@ mod tests {
         let (a, b) = double_integrator(0.02);
         let q = Matrix::identity(2);
         let r = Matrix::from_rows(&[&[0.1]]).unwrap();
-        let one_shot = dlqr(&a, &b, &q, &r, DareOptions::default()).unwrap();
+        let fresh =
+            dlqr(&a, &b, &q, &r, DareOptions::default(), &mut RiccatiWorkspace::new(2, 1)).unwrap();
+        // A reused workspace, first warmed on a different plant of the same
+        // dimensions, designs exactly the fresh controller, every time.
         let mut ws = RiccatiWorkspace::new(2, 1);
-        let first = dlqr_with(&a, &b, &q, &r, DareOptions::default(), &mut ws).unwrap();
-        let second = dlqr_with(&a, &b, &q, &r, DareOptions::default(), &mut ws).unwrap();
-        assert_eq!(one_shot, first);
+        let (other_a, other_b) = double_integrator(0.1);
+        let other = dlqr(&other_a, &other_b, &q, &r, DareOptions::default(), &mut ws).unwrap();
+        assert_ne!(other, fresh);
+        let first = dlqr(&a, &b, &q, &r, DareOptions::default(), &mut ws).unwrap();
+        let second = dlqr(&a, &b, &q, &r, DareOptions::default(), &mut ws).unwrap();
+        assert_eq!(fresh, first);
         assert_eq!(first, second);
+        assert_eq!(ws.solution(), &fresh.cost);
     }
 
     #[test]
@@ -516,7 +500,7 @@ mod tests {
         let (a, b) = double_integrator(0.02);
         let q = Matrix::identity(2);
         let r = Matrix::from_rows(&[&[0.1]]).unwrap();
-        let sol = dlqr(&a, &b, &q, &r, DareOptions::default()).unwrap();
+        let sol = dlqr(&a, &b, &q, &r, DareOptions::default(), &mut fresh(&a, &b)).unwrap();
 
         // Closed loop A − B K must be Schur stable.
         let closed = a.sub_matrix(&b.matmul(&sol.gain).unwrap()).unwrap();
@@ -530,7 +514,7 @@ mod tests {
         let b = Matrix::from_rows(&[&[0.5]]).unwrap();
         let q = Matrix::identity(1);
         let r = Matrix::identity(1);
-        let sol = dlqr(&a, &b, &q, &r, DareOptions::default()).unwrap();
+        let sol = dlqr(&a, &b, &q, &r, DareOptions::default(), &mut fresh(&a, &b)).unwrap();
         let closed = a.sub_matrix(&b.matmul(&sol.gain).unwrap()).unwrap();
         assert!(closed[(0, 0)].abs() < 1.0);
     }
@@ -539,11 +523,11 @@ mod tests {
     fn heavier_input_weight_gives_smaller_gain() {
         let (a, b) = double_integrator(0.02);
         let q = Matrix::identity(2);
-        let cheap = dlqr(&a, &b, &q, &Matrix::from_rows(&[&[0.01]]).unwrap(), DareOptions::default())
-            .unwrap();
-        let expensive =
-            dlqr(&a, &b, &q, &Matrix::from_rows(&[&[10.0]]).unwrap(), DareOptions::default())
-                .unwrap();
+        let mut ws = fresh(&a, &b);
+        let cheap = Matrix::from_rows(&[&[0.01]]).unwrap();
+        let cheap = dlqr(&a, &b, &q, &cheap, DareOptions::default(), &mut ws).unwrap();
+        let expensive = Matrix::from_rows(&[&[10.0]]).unwrap();
+        let expensive = dlqr(&a, &b, &q, &expensive, DareOptions::default(), &mut ws).unwrap();
         assert!(cheap.gain.frobenius_norm() > expensive.gain.frobenius_norm());
     }
 
@@ -552,13 +536,14 @@ mod tests {
         let (a, b) = double_integrator(0.02);
         let q = Matrix::identity(2);
         let r = Matrix::identity(1);
-        assert!(solve_dare(&Matrix::zeros(2, 3), &b, &q, &r, DareOptions::default()).is_err());
-        assert!(solve_dare(&a, &Matrix::column(&[1.0]).unwrap(), &q, &r, DareOptions::default())
-            .is_err());
-        assert!(solve_dare(&a, &b, &Matrix::identity(3), &r, DareOptions::default()).is_err());
-        assert!(solve_dare(&a, &b, &q, &Matrix::identity(2), DareOptions::default()).is_err());
+        let opts = DareOptions::default();
+        let mut ws = fresh(&a, &b);
+        assert!(solve_dare(&Matrix::zeros(2, 3), &b, &q, &r, opts, &mut ws).is_err());
+        assert!(solve_dare(&a, &Matrix::column(&[1.0]).unwrap(), &q, &r, opts, &mut ws).is_err());
+        assert!(solve_dare(&a, &b, &Matrix::identity(3), &r, opts, &mut ws).is_err());
+        assert!(solve_dare(&a, &b, &q, &Matrix::identity(2), opts, &mut ws).is_err());
         let asym = Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 1.0]]).unwrap();
-        assert!(solve_dare(&a, &b, &asym, &r, DareOptions::default()).is_err());
+        assert!(solve_dare(&a, &b, &asym, &r, opts, &mut ws).is_err());
     }
 
     #[test]
@@ -570,7 +555,7 @@ mod tests {
         let r = Matrix::identity(1);
         let options = DareOptions { max_iterations: 500, tolerance: 1e-12 };
         assert!(matches!(
-            solve_dare(&a, &b, &q, &r, options),
+            solve_dare(&a, &b, &q, &r, options, &mut fresh(&a, &b)),
             Err(LinalgError::NotConverged { .. })
         ));
     }

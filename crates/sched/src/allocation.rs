@@ -10,7 +10,7 @@
 use crate::app::{priority_order, AppTimingParams};
 use crate::dwell::ModelKind;
 use crate::error::{Result, SchedError};
-use crate::schedulability::{analyze_slot_with, is_slot_schedulable_with, WaitTimeMethod};
+use crate::schedulability::{analyze_slot, is_slot_schedulable, WaitTimeMethod};
 use crate::timing::SlotTiming;
 
 /// Which greedy packing strategy to use.
@@ -60,21 +60,12 @@ impl SlotAllocation {
         self.slots.iter().position(|slot| slot.contains(&app_index))
     }
 
-    /// Verifies that every slot of the allocation is schedulable (under the
-    /// design-baseline slot geometry, [`SlotTiming::ZERO`]) and every
-    /// application is placed exactly once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates analysis errors.
-    pub fn verify(&self, apps: &[AppTimingParams]) -> Result<bool> {
-        self.verify_with(apps, SlotTiming::ZERO)
-    }
-
-    /// [`SlotAllocation::verify`] under an explicit slot geometry — the
-    /// check to use for allocations computed with a non-zero
-    /// [`AllocatorConfig::slot_timing`] (the allocation records its model
-    /// and method but not the geometry it was packed under).
+    /// Verifies that every slot of the allocation is schedulable under the
+    /// slot geometry `timing` and every application is placed exactly once.
+    /// Pass [`SlotTiming::ZERO`] for the design baseline, or the
+    /// [`AllocatorConfig::slot_timing`] the allocation was computed with (the
+    /// allocation records its model and method but not the geometry it was
+    /// packed under).
     ///
     /// # Errors
     ///
@@ -88,7 +79,7 @@ impl SlotAllocation {
                 }
                 seen[index] += 1;
             }
-            if !is_slot_schedulable_with(apps, slot, self.model, self.method, timing)? {
+            if !is_slot_schedulable(apps, slot, self.model, self.method, timing)? {
                 return Ok(false);
             }
         }
@@ -224,7 +215,7 @@ pub(crate) fn dedicated_slot_precheck(
     order: &[usize],
 ) -> Result<()> {
     for &app_index in order {
-        if !is_slot_schedulable_with(
+        if !is_slot_schedulable(
             apps,
             &[app_index],
             config.model,
@@ -295,7 +286,7 @@ fn try_slots(
     for slot_index in candidates {
         let slot = &mut slots[slot_index];
         slot.push(app_index);
-        if is_slot_schedulable_with(apps, slot, config.model, config.method, config.slot_timing)? {
+        if is_slot_schedulable(apps, slot, config.model, config.method, config.slot_timing)? {
             return Ok(Some(slot_index));
         }
         slot.pop();
@@ -316,7 +307,7 @@ fn best_fit(
         let mut candidate = slots[slot_index].clone();
         candidate.push(app_index);
         let analysis =
-            analyze_slot_with(apps, &candidate, config.model, config.method, config.slot_timing)?;
+            analyze_slot(apps, &candidate, config.model, config.method, config.slot_timing)?;
         if analysis.is_schedulable() {
             let min_slack = analysis
                 .analyses
@@ -345,7 +336,7 @@ mod tests {
         let apps = paper_table1();
         let allocation = allocate_slots(&apps, &AllocatorConfig::default()).unwrap();
         assert_eq!(allocation.slot_count(), 3, "allocation = {:?}", allocation.slots);
-        assert!(allocation.verify(&apps).unwrap());
+        assert!(allocation.verify_with(&apps, SlotTiming::ZERO).unwrap());
 
         // Paper: S1 = {C3, C6}, S2 = {C2, C4}, S3 = {C5, C1} (indices 2,5 / 1,3 / 4,0).
         assert_eq!(allocation.slots[0], vec![2, 5]);
@@ -362,7 +353,7 @@ mod tests {
         };
         let allocation = allocate_slots(&apps, &config).unwrap();
         assert_eq!(allocation.slot_count(), 5, "allocation = {:?}", allocation.slots);
-        assert!(allocation.verify(&apps).unwrap());
+        assert!(allocation.verify_with(&apps, SlotTiming::ZERO).unwrap());
 
         // Paper: S1 = {C3, C6}, then C2, C4, C5, C1 each alone.
         assert_eq!(allocation.slots[0], vec![2, 5]);
@@ -381,7 +372,7 @@ mod tests {
         assert!(!allocations.is_empty());
         // Every returned slot map is feasible and they are pairwise distinct.
         for (index, allocation) in allocations.iter().enumerate() {
-            assert!(allocation.verify(&apps).unwrap());
+            assert!(allocation.verify_with(&apps, SlotTiming::ZERO).unwrap());
             for other in &allocations[index + 1..] {
                 assert_ne!(allocation.slots, other.slots);
             }
@@ -462,7 +453,7 @@ mod tests {
             )
             .unwrap();
             assert!(first_fit.slot_count() <= next_fit.slot_count());
-            assert!(first_fit.verify(&apps).unwrap());
+            assert!(first_fit.verify_with(&apps, SlotTiming::ZERO).unwrap());
         }
     }
 
@@ -477,7 +468,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(allocation.verify(&apps).unwrap());
+        assert!(allocation.verify_with(&apps, SlotTiming::ZERO).unwrap());
         assert!(allocation.slot_count() <= 6);
     }
 

@@ -33,7 +33,8 @@
 //! * [`SlotTiming`] — how the bus's slot geometry enters the analysis: the
 //!   extra per-slot transmission time of a swept static slot length Ψ
 //!   stretches every blocking/interference occupancy (and the solver's
-//!   demand bound) via the `_with` analysis variants, so both the greedy
+//!   demand bound). Every analysis function takes a `SlotTiming`
+//!   ([`SlotTiming::ZERO`] is the paper's baseline), so both the greedy
 //!   allocators and the exact search see Ψ-dependent per-slot capacity.
 //! * [`case_study_fixtures::paper_table1`] — the published Table I, from
 //!   which the headline 3-versus-5-slot result is reproduced exactly.
@@ -84,13 +85,10 @@ pub use dwell::{
 };
 pub use error::{Result, SchedError};
 pub use schedulability::{
-    analyze_application, analyze_application_with, analyze_slot, analyze_slot_with,
-    is_slot_schedulable, is_slot_schedulable_with, ResponseTimeAnalysis, SlotAnalysis,
+    analyze_application, analyze_slot, is_slot_schedulable, ResponseTimeAnalysis, SlotAnalysis,
     WaitTimeMethod,
 };
 pub use timing::SlotTiming;
 pub use wait_time::{
-    max_wait_time_bound, max_wait_time_bound_with, max_wait_time_fixed_point,
-    max_wait_time_fixed_point_with, max_wait_time_lower_bound, max_wait_time_lower_bound_with,
-    InterferenceContext,
+    max_wait_time_bound, max_wait_time_fixed_point, max_wait_time_lower_bound, InterferenceContext,
 };

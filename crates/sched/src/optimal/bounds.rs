@@ -200,7 +200,7 @@ mod tests {
                     if c == a || c == b {
                         continue;
                     }
-                    let schedulable = crate::is_slot_schedulable_with(
+                    let schedulable = crate::is_slot_schedulable(
                         &apps,
                         &[a, b, c],
                         config.model,

@@ -189,7 +189,7 @@ mod tests {
         for config in configs() {
             let optimal = allocate_slots_optimal(&apps, &config).unwrap();
             let greedy = allocate_slots(&apps, &config).unwrap();
-            assert!(optimal.verify(&apps).unwrap());
+            assert!(optimal.verify_with(&apps, SlotTiming::ZERO).unwrap());
             assert!(optimal.slot_count() <= greedy.slot_count());
         }
         // The paper's greedy 3-slot result is already optimal.
@@ -222,8 +222,7 @@ mod tests {
                             }
                         }
                         let reference =
-                            crate::is_slot_schedulable_with(&apps, slot, model, method, timing)
-                                .unwrap();
+                            crate::is_slot_schedulable(&apps, slot, model, method, timing).unwrap();
                         assert_eq!(
                             streaming, reference,
                             "slot {slot:?} model {model:?} method {method:?} timing {timing:?}"
@@ -398,7 +397,11 @@ mod tests {
                 assert_eq!(degraded, solver.incumbent_bound(), "threads={threads}");
                 assert_eq!(degraded, solver.greedy_bound(), "threads={threads}");
                 assert!(!solver.certified_optimal());
-                assert!(solver.best_allocation().unwrap().verify(&apps).unwrap());
+                assert!(solver
+                    .best_allocation()
+                    .unwrap()
+                    .verify_with(&apps, SlotTiming::ZERO)
+                    .unwrap());
             }
 
             // An armed but un-cancelled token leaves the result unchanged.

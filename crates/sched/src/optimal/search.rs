@@ -301,8 +301,8 @@ pub(crate) fn dfs<D: Driver>(
 
 /// Allocation-free analysis of a candidate slot: mirrors
 /// [`crate::analyze_slot`] member for member (identical accumulation order,
-/// so the verdict is bit-for-bit the one `SlotAllocation::verify` computes),
-/// and additionally detects dead slots.
+/// so the verdict is bit-for-bit the one `SlotAllocation::verify_with`
+/// computes), and additionally detects dead slots.
 pub(crate) fn slot_status(
     apps: &[AppTimingParams],
     members: &[usize],

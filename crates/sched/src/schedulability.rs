@@ -4,7 +4,7 @@ use crate::app::AppTimingParams;
 use crate::dwell::{dwell_for, ModelKind};
 use crate::error::{Result, SchedError};
 use crate::timing::SlotTiming;
-use crate::wait_time::{max_wait_time_bound_with, max_wait_time_fixed_point_with};
+use crate::wait_time::{max_wait_time_bound, max_wait_time_fixed_point};
 
 /// How the maximum wait time is computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -46,7 +46,13 @@ impl ResponseTimeAnalysis {
 }
 
 /// Analyses one application (given by `index` into `apps`) on the TT slot
-/// holding the applications in `slot`.
+/// holding the applications in `slot`, under the slot geometry `timing`.
+///
+/// The per-slot transmission overhead stretches the blocking and
+/// interference occupancy intervals feeding the wait time; the analysed
+/// application's own response `ξ(ŵ) = ŵ + k_dw(ŵ)` is a control-layer
+/// settling event and is not stretched. [`SlotTiming::ZERO`] is the paper's
+/// design-baseline analysis.
 ///
 /// # Errors
 ///
@@ -59,37 +65,15 @@ pub fn analyze_application(
     index: usize,
     kind: ModelKind,
     method: WaitTimeMethod,
-) -> Result<ResponseTimeAnalysis> {
-    analyze_application_with(apps, slot, index, kind, method, SlotTiming::ZERO)
-}
-
-/// [`analyze_application`] under an explicit slot geometry: the per-slot
-/// transmission overhead stretches the blocking and interference occupancy
-/// intervals feeding the wait time; the analysed application's own response
-/// `ξ(ŵ) = ŵ + k_dw(ŵ)` is a control-layer settling event and is not
-/// stretched. With [`SlotTiming::ZERO`] the analysis is bit-identical to
-/// [`analyze_application`].
-///
-/// # Errors
-///
-/// As [`analyze_application`].
-pub fn analyze_application_with(
-    apps: &[AppTimingParams],
-    slot: &[usize],
-    index: usize,
-    kind: ModelKind,
-    method: WaitTimeMethod,
     timing: SlotTiming,
 ) -> Result<ResponseTimeAnalysis> {
     let app = apps.get(index).ok_or_else(|| SchedError::InvalidParameter {
         reason: format!("application index {index} out of range"),
     })?;
     let max_wait = match method {
-        WaitTimeMethod::ClosedFormBound => {
-            max_wait_time_bound_with(apps, slot, index, kind, timing)?
-        }
+        WaitTimeMethod::ClosedFormBound => max_wait_time_bound(apps, slot, index, kind, timing)?,
         WaitTimeMethod::ExactFixedPoint => {
-            max_wait_time_fixed_point_with(apps, slot, index, kind, timing)?
+            max_wait_time_fixed_point(apps, slot, index, kind, timing)?
         }
     };
     // If the maximum wait already exceeds the pure-ET settling time, the
@@ -126,7 +110,8 @@ impl SlotAnalysis {
     }
 }
 
-/// Analyses all applications sharing one TT slot.
+/// Analyses all applications sharing one TT slot under the slot geometry
+/// `timing` (see [`analyze_application`]).
 ///
 /// Note that adding an application to a slot can break the schedulability of
 /// applications that were already there (it adds blocking for
@@ -144,26 +129,11 @@ pub fn analyze_slot(
     slot: &[usize],
     kind: ModelKind,
     method: WaitTimeMethod,
-) -> Result<SlotAnalysis> {
-    analyze_slot_with(apps, slot, kind, method, SlotTiming::ZERO)
-}
-
-/// [`analyze_slot`] under an explicit slot geometry (see
-/// [`analyze_application_with`]).
-///
-/// # Errors
-///
-/// As [`analyze_slot`].
-pub fn analyze_slot_with(
-    apps: &[AppTimingParams],
-    slot: &[usize],
-    kind: ModelKind,
-    method: WaitTimeMethod,
     timing: SlotTiming,
 ) -> Result<SlotAnalysis> {
     let mut analyses = Vec::with_capacity(slot.len());
     for &index in slot {
-        match analyze_application_with(apps, slot, index, kind, method, timing) {
+        match analyze_application(apps, slot, index, kind, method, timing) {
             Ok(analysis) => analyses.push(analysis),
             Err(SchedError::SlotOverloaded { application, .. }) => {
                 // Utilisation ≥ 1 means the wait time is unbounded: represent
@@ -186,7 +156,7 @@ pub fn analyze_slot_with(
 }
 
 /// Convenience wrapper: is the given set of applications schedulable on a
-/// single shared TT slot?
+/// single shared TT slot under the slot geometry `timing`?
 ///
 /// # Errors
 ///
@@ -196,29 +166,18 @@ pub fn is_slot_schedulable(
     slot: &[usize],
     kind: ModelKind,
     method: WaitTimeMethod,
-) -> Result<bool> {
-    Ok(analyze_slot(apps, slot, kind, method)?.is_schedulable())
-}
-
-/// [`is_slot_schedulable`] under an explicit slot geometry.
-///
-/// # Errors
-///
-/// Propagates parameter errors from [`analyze_slot_with`].
-pub fn is_slot_schedulable_with(
-    apps: &[AppTimingParams],
-    slot: &[usize],
-    kind: ModelKind,
-    method: WaitTimeMethod,
     timing: SlotTiming,
 ) -> Result<bool> {
-    Ok(analyze_slot_with(apps, slot, kind, method, timing)?.is_schedulable())
+    Ok(analyze_slot(apps, slot, kind, method, timing)?.is_schedulable())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::case_study_fixtures::paper_table1;
+
+    /// The design-baseline slot geometry of the paper's analysis.
+    const ZERO: SlotTiming = SlotTiming::ZERO;
 
     #[test]
     fn c3_alone_has_tt_response_time() {
@@ -229,6 +188,7 @@ mod tests {
             2,
             ModelKind::NonMonotonic,
             WaitTimeMethod::ClosedFormBound,
+            ZERO,
         )
         .unwrap();
         assert_eq!(analysis.max_wait_time, 0.0);
@@ -246,6 +206,7 @@ mod tests {
             5,
             ModelKind::NonMonotonic,
             WaitTimeMethod::ClosedFormBound,
+            ZERO,
         )
         .unwrap();
         assert!((analysis.max_wait_time - 0.669).abs() < 0.001);
@@ -262,6 +223,7 @@ mod tests {
             2,
             ModelKind::NonMonotonic,
             WaitTimeMethod::ClosedFormBound,
+            ZERO,
         )
         .unwrap();
         assert!((analysis.max_wait_time - 0.92).abs() < 1e-9);
@@ -278,6 +240,7 @@ mod tests {
             &slot,
             ModelKind::NonMonotonic,
             WaitTimeMethod::ClosedFormBound,
+            ZERO,
         )
         .unwrap();
         assert!(!analysis.is_schedulable());
@@ -295,6 +258,7 @@ mod tests {
             1,
             ModelKind::ConservativeMonotonic,
             WaitTimeMethod::ClosedFormBound,
+            ZERO,
         )
         .unwrap();
         // Paper: k̂'_wait,2 = 4.94 and ξ̂'_2 = 6.426 > 6.25.
@@ -311,6 +275,7 @@ mod tests {
             &[1, 3],
             ModelKind::NonMonotonic,
             WaitTimeMethod::ClosedFormBound,
+            ZERO,
         )
         .unwrap();
         assert!(analysis.is_schedulable(), "S2 = {{C2, C4}} must be schedulable: {analysis:?}");
@@ -324,6 +289,7 @@ mod tests {
             &[4, 0],
             ModelKind::NonMonotonic,
             WaitTimeMethod::ClosedFormBound,
+            ZERO,
         )
         .unwrap();
         assert!(analysis.is_schedulable(), "S3 = {{C5, C1}} must be schedulable: {analysis:?}");
@@ -340,6 +306,7 @@ mod tests {
                 index,
                 ModelKind::NonMonotonic,
                 WaitTimeMethod::ClosedFormBound,
+                ZERO,
             )
             .unwrap();
             let exact = analyze_application(
@@ -348,6 +315,7 @@ mod tests {
                 index,
                 ModelKind::NonMonotonic,
                 WaitTimeMethod::ExactFixedPoint,
+                ZERO,
             )
             .unwrap();
             assert!(exact.max_wait_time <= bound.max_wait_time + 1e-9);
@@ -366,6 +334,7 @@ mod tests {
             &[0, 1, 2],
             ModelKind::NonMonotonic,
             WaitTimeMethod::ClosedFormBound,
+            ZERO,
         )
         .unwrap();
         assert!(!analysis.is_schedulable());
@@ -374,7 +343,8 @@ mod tests {
             &apps,
             &[0, 1, 2],
             ModelKind::NonMonotonic,
-            WaitTimeMethod::ClosedFormBound
+            WaitTimeMethod::ClosedFormBound,
+            ZERO
         )
         .unwrap());
     }
@@ -388,11 +358,16 @@ mod tests {
         // per-slot overhead exceeds ≈ 0.603 s; 0.8 s (exaggerated — physical
         // ΔΨ is microseconds) pushes it clearly past.
         let slot = [2usize, 5];
-        assert!(is_slot_schedulable(&apps, &slot, ModelKind::NonMonotonic,
-            WaitTimeMethod::ClosedFormBound)
+        assert!(is_slot_schedulable(
+            &apps,
+            &slot,
+            ModelKind::NonMonotonic,
+            WaitTimeMethod::ClosedFormBound,
+            ZERO
+        )
         .unwrap());
         let timing = SlotTiming::new(0.8).unwrap();
-        let analysis = analyze_slot_with(
+        let analysis = analyze_slot(
             &apps,
             &slot,
             ModelKind::NonMonotonic,
@@ -402,16 +377,21 @@ mod tests {
         .unwrap();
         assert!(!analysis.is_schedulable());
         assert_eq!(analysis.first_violation().unwrap().application, "C3");
-        // The zero-overhead path is the bitwise baseline.
-        let base = analyze_slot(&apps, &slot, ModelKind::NonMonotonic,
-            WaitTimeMethod::ClosedFormBound)
-        .unwrap();
-        let zero = analyze_slot_with(
+        // A validated zero overhead is the bitwise baseline.
+        let base = analyze_slot(
             &apps,
             &slot,
             ModelKind::NonMonotonic,
             WaitTimeMethod::ClosedFormBound,
-            SlotTiming::ZERO,
+            ZERO,
+        )
+        .unwrap();
+        let zero = analyze_slot(
+            &apps,
+            &slot,
+            ModelKind::NonMonotonic,
+            WaitTimeMethod::ClosedFormBound,
+            SlotTiming::new(0.0).unwrap(),
         )
         .unwrap();
         assert_eq!(base, zero);
@@ -432,7 +412,8 @@ mod tests {
             &[0],
             42,
             ModelKind::NonMonotonic,
-            WaitTimeMethod::ClosedFormBound
+            WaitTimeMethod::ClosedFormBound,
+            ZERO
         )
         .is_err());
     }

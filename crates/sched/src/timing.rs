@@ -42,8 +42,9 @@ pub struct SlotTiming {
 }
 
 impl SlotTiming {
-    /// The design-baseline geometry: no extra per-slot occupancy. The
-    /// analysis under `ZERO` is bit-identical to the overhead-free paths.
+    /// The design-baseline geometry: no extra per-slot occupancy. Every dwell
+    /// bound enters the analysis as `ξᴹ + 0.0 = ξᴹ`, so the analysis under
+    /// `ZERO` is the paper's overhead-free analysis bit for bit.
     pub const ZERO: SlotTiming = SlotTiming { transmission_overhead: 0.0 };
 
     /// A timing with the given extra per-slot transmission overhead in

@@ -35,8 +35,10 @@ pub struct InterferenceContext {
 impl InterferenceContext {
     /// Builds the interference context for `apps[index]` among the
     /// applications listed in `slot` (indices into `apps`), using the dwell
-    /// bound of the selected model under the design-baseline slot geometry
-    /// ([`SlotTiming::ZERO`]).
+    /// bound of the selected model under the slot geometry `timing`: every
+    /// blocking/interference dwell bound is stretched by the per-slot
+    /// transmission overhead `ξᴹⱼ + ΔΨ` before it enters the analysis.
+    /// [`SlotTiming::ZERO`] is the design baseline, with no stretch.
     ///
     /// Priorities follow the paper: a smaller deadline means a higher
     /// priority; ties are broken by name for determinism.
@@ -46,24 +48,6 @@ impl InterferenceContext {
     /// Returns [`SchedError::InvalidParameter`] if `index` is not contained
     /// in `slot` or any slot index is out of range.
     pub fn for_application(
-        apps: &[AppTimingParams],
-        slot: &[usize],
-        index: usize,
-        kind: ModelKind,
-    ) -> Result<Self> {
-        Self::for_application_with(apps, slot, index, kind, SlotTiming::ZERO)
-    }
-
-    /// [`InterferenceContext::for_application`] under an explicit slot
-    /// geometry: every blocking/interference dwell bound is stretched by the
-    /// per-slot transmission overhead `ξᴹⱼ + ΔΨ` before it enters the
-    /// analysis. With [`SlotTiming::ZERO`] the context is bit-identical to
-    /// [`InterferenceContext::for_application`].
-    ///
-    /// # Errors
-    ///
-    /// As [`InterferenceContext::for_application`].
-    pub fn for_application_with(
         apps: &[AppTimingParams],
         slot: &[usize],
         index: usize,
@@ -120,7 +104,9 @@ impl InterferenceContext {
 }
 
 /// Closed-form upper bound on the maximum wait time, `a′/(1−m)` (Eq. (20)) —
-/// the value the paper uses throughout the case study.
+/// the value the paper uses throughout the case study — under the slot
+/// geometry `timing` (per-slot transmission overheads stretch the blocking
+/// and interference terms; [`SlotTiming::ZERO`] is the design baseline).
 ///
 /// # Errors
 ///
@@ -131,24 +117,9 @@ pub fn max_wait_time_bound(
     slot: &[usize],
     index: usize,
     kind: ModelKind,
-) -> Result<f64> {
-    max_wait_time_bound_with(apps, slot, index, kind, SlotTiming::ZERO)
-}
-
-/// [`max_wait_time_bound`] under an explicit slot geometry (per-slot
-/// transmission overheads stretch the blocking and interference terms).
-///
-/// # Errors
-///
-/// As [`max_wait_time_bound`].
-pub fn max_wait_time_bound_with(
-    apps: &[AppTimingParams],
-    slot: &[usize],
-    index: usize,
-    kind: ModelKind,
     timing: SlotTiming,
 ) -> Result<f64> {
-    let ctx = InterferenceContext::for_application_with(apps, slot, index, kind, timing)?;
+    let ctx = InterferenceContext::for_application(apps, slot, index, kind, timing)?;
     let m = ctx.utilization();
     if m >= 1.0 {
         return Err(SchedError::SlotOverloaded {
@@ -160,7 +131,8 @@ pub fn max_wait_time_bound_with(
     Ok(a_prime / (1.0 - m))
 }
 
-/// Closed-form lower bound on the maximum wait time, `a/(1−m)` (Eq. (21)).
+/// Closed-form lower bound on the maximum wait time, `a/(1−m)` (Eq. (21)),
+/// under the slot geometry `timing`.
 ///
 /// # Errors
 ///
@@ -170,23 +142,9 @@ pub fn max_wait_time_lower_bound(
     slot: &[usize],
     index: usize,
     kind: ModelKind,
-) -> Result<f64> {
-    max_wait_time_lower_bound_with(apps, slot, index, kind, SlotTiming::ZERO)
-}
-
-/// [`max_wait_time_lower_bound`] under an explicit slot geometry.
-///
-/// # Errors
-///
-/// As [`max_wait_time_lower_bound`].
-pub fn max_wait_time_lower_bound_with(
-    apps: &[AppTimingParams],
-    slot: &[usize],
-    index: usize,
-    kind: ModelKind,
     timing: SlotTiming,
 ) -> Result<f64> {
-    let ctx = InterferenceContext::for_application_with(apps, slot, index, kind, timing)?;
+    let ctx = InterferenceContext::for_application(apps, slot, index, kind, timing)?;
     let m = ctx.utilization();
     if m >= 1.0 {
         return Err(SchedError::SlotOverloaded {
@@ -205,7 +163,8 @@ pub(crate) const MAX_FIXED_POINT_ITERATIONS: usize = 10_000;
 /// Exact maximum wait time: the least fixed point of the paper's Eq. (5),
 /// computed by the standard monotone iteration `w ← f(w)` starting from the
 /// blocking term (plus one interference hit from every higher-priority
-/// application, matching the "all request simultaneously" worst case).
+/// application, matching the "all request simultaneously" worst case),
+/// under the slot geometry `timing`.
 ///
 /// This is at most the closed-form bound of [`max_wait_time_bound`]; the
 /// difference is exercised by the `ablation_fixed_point` benchmark.
@@ -221,23 +180,9 @@ pub fn max_wait_time_fixed_point(
     slot: &[usize],
     index: usize,
     kind: ModelKind,
-) -> Result<f64> {
-    max_wait_time_fixed_point_with(apps, slot, index, kind, SlotTiming::ZERO)
-}
-
-/// [`max_wait_time_fixed_point`] under an explicit slot geometry.
-///
-/// # Errors
-///
-/// As [`max_wait_time_fixed_point`].
-pub fn max_wait_time_fixed_point_with(
-    apps: &[AppTimingParams],
-    slot: &[usize],
-    index: usize,
-    kind: ModelKind,
     timing: SlotTiming,
 ) -> Result<f64> {
-    let ctx = InterferenceContext::for_application_with(apps, slot, index, kind, timing)?;
+    let ctx = InterferenceContext::for_application(apps, slot, index, kind, timing)?;
     let m = ctx.utilization();
     if m >= 1.0 {
         return Err(SchedError::SlotOverloaded {
@@ -265,6 +210,9 @@ pub fn max_wait_time_fixed_point_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The design-baseline slot geometry of the paper's analysis.
+    const ZERO: SlotTiming = SlotTiming::ZERO;
 
     /// The paper's Table I.
     fn table1() -> Vec<AppTimingParams> {
@@ -300,9 +248,10 @@ mod tests {
     fn highest_priority_application_alone_has_zero_wait() {
         let apps = table1();
         // C3 alone on a slot: no blocking, no interference.
-        let wait = max_wait_time_bound(&apps, &[2], 2, ModelKind::NonMonotonic).unwrap();
+        let wait = max_wait_time_bound(&apps, &[2], 2, ModelKind::NonMonotonic, ZERO).unwrap();
         assert_eq!(wait, 0.0);
-        let exact = max_wait_time_fixed_point(&apps, &[2], 2, ModelKind::NonMonotonic).unwrap();
+        let exact =
+            max_wait_time_fixed_point(&apps, &[2], 2, ModelKind::NonMonotonic, ZERO).unwrap();
         assert_eq!(exact, 0.0);
     }
 
@@ -310,7 +259,7 @@ mod tests {
     fn c6_wait_time_matches_paper_value() {
         let apps = table1();
         // Slot S1 = {C3, C6}; analysing C6 (lower priority than C3).
-        let wait = max_wait_time_bound(&apps, &[2, 5], 5, ModelKind::NonMonotonic).unwrap();
+        let wait = max_wait_time_bound(&apps, &[2, 5], 5, ModelKind::NonMonotonic, ZERO).unwrap();
         assert!((wait - 0.669).abs() < 0.001, "wait = {wait}");
     }
 
@@ -318,7 +267,7 @@ mod tests {
     fn c3_wait_time_when_sharing_with_c6_matches_paper_value() {
         let apps = table1();
         // Analysing C3 (higher priority): blocked by C6's maximum dwell 0.92.
-        let wait = max_wait_time_bound(&apps, &[2, 5], 2, ModelKind::NonMonotonic).unwrap();
+        let wait = max_wait_time_bound(&apps, &[2, 5], 2, ModelKind::NonMonotonic, ZERO).unwrap();
         assert!((wait - 0.92).abs() < 1e-9);
     }
 
@@ -328,7 +277,7 @@ mod tests {
         // Monotonic case, slot {C2, C4}: C2 is higher priority, blocked by
         // C4's conservative dwell xi'_M = 4.94.
         let wait =
-            max_wait_time_bound(&apps, &[1, 3], 1, ModelKind::ConservativeMonotonic).unwrap();
+            max_wait_time_bound(&apps, &[1, 3], 1, ModelKind::ConservativeMonotonic, ZERO).unwrap();
         assert!((wait - 4.94).abs() < 1e-9);
     }
 
@@ -339,9 +288,9 @@ mod tests {
         let slot: Vec<usize> = (0..apps.len()).collect();
         for kind in [ModelKind::NonMonotonic, ModelKind::ConservativeMonotonic] {
             for index in 0..apps.len() {
-                let bound = max_wait_time_bound(&apps, &slot, index, kind).unwrap();
-                let exact = max_wait_time_fixed_point(&apps, &slot, index, kind).unwrap();
-                let lower = max_wait_time_lower_bound(&apps, &slot, index, kind).unwrap();
+                let bound = max_wait_time_bound(&apps, &slot, index, kind, ZERO).unwrap();
+                let exact = max_wait_time_fixed_point(&apps, &slot, index, kind, ZERO).unwrap();
+                let lower = max_wait_time_lower_bound(&apps, &slot, index, kind, ZERO).unwrap();
                 assert!(
                     exact <= bound + 1e-9,
                     "{}: exact {exact} must not exceed bound {bound}",
@@ -366,14 +315,14 @@ mod tests {
             AppTimingParams::new("L", 10.0, 5.0, 0.3, 2.0, 0.6, 0.5).unwrap(),
         ];
         let slot = vec![0, 1, 2];
-        let err = max_wait_time_bound(&apps, &slot, 2, ModelKind::NonMonotonic).unwrap_err();
+        let err = max_wait_time_bound(&apps, &slot, 2, ModelKind::NonMonotonic, ZERO).unwrap_err();
         assert!(matches!(err, SchedError::SlotOverloaded { .. }));
         assert!(matches!(
-            max_wait_time_fixed_point(&apps, &slot, 2, ModelKind::NonMonotonic),
+            max_wait_time_fixed_point(&apps, &slot, 2, ModelKind::NonMonotonic, ZERO),
             Err(SchedError::SlotOverloaded { .. })
         ));
         assert!(matches!(
-            max_wait_time_lower_bound(&apps, &slot, 2, ModelKind::NonMonotonic),
+            max_wait_time_lower_bound(&apps, &slot, 2, ModelKind::NonMonotonic, ZERO),
             Err(SchedError::SlotOverloaded { .. })
         ));
     }
@@ -381,10 +330,22 @@ mod tests {
     #[test]
     fn context_validation() {
         let apps = table1();
-        assert!(InterferenceContext::for_application(&apps, &[0, 1], 2, ModelKind::NonMonotonic)
-            .is_err());
-        assert!(InterferenceContext::for_application(&apps, &[0, 99], 0, ModelKind::NonMonotonic)
-            .is_err());
+        assert!(InterferenceContext::for_application(
+            &apps,
+            &[0, 1],
+            2,
+            ModelKind::NonMonotonic,
+            ZERO
+        )
+        .is_err());
+        assert!(InterferenceContext::for_application(
+            &apps,
+            &[0, 99],
+            0,
+            ModelKind::NonMonotonic,
+            ZERO
+        )
+        .is_err());
     }
 
     #[test]
@@ -392,7 +353,8 @@ mod tests {
         let apps = table1();
         let slot: Vec<usize> = (0..apps.len()).collect();
         let ctx =
-            InterferenceContext::for_application(&apps, &slot, 0, ModelKind::NonMonotonic).unwrap();
+            InterferenceContext::for_application(&apps, &slot, 0, ModelKind::NonMonotonic, ZERO)
+                .unwrap();
         let mut previous = ctx.request_function(0.0);
         for i in 1..50 {
             let wait = i as f64 * 0.5;
@@ -406,41 +368,40 @@ mod tests {
     fn slot_timing_overhead_stretches_blocking_and_interference() {
         let apps = table1();
         let slot = vec![2, 5]; // {C3, C6}
-        // Zero overhead reproduces the baseline analysis bit for bit.
-        let zero = SlotTiming::ZERO;
-        for index in [2usize, 5] {
-            let base = max_wait_time_bound(&apps, &slot, index, ModelKind::NonMonotonic).unwrap();
-            let with_zero =
-                max_wait_time_bound_with(&apps, &slot, index, ModelKind::NonMonotonic, zero)
-                    .unwrap();
-            assert_eq!(base.to_bits(), with_zero.to_bits());
-        }
+                               // Zero overhead reproduces the baseline analysis bit for bit: C3 is
+                               // blocked by C6's ξᴹ alone, C6 is interfered with by C3 alone.
+        let zero = SlotTiming::new(0.0).unwrap();
+        assert_eq!(zero, SlotTiming::ZERO);
+        let c3 = max_wait_time_bound(&apps, &slot, 2, ModelKind::NonMonotonic, zero).unwrap();
+        assert_eq!(c3.to_bits(), 0.92f64.to_bits());
+        let c6 = max_wait_time_bound(&apps, &slot, 5, ModelKind::NonMonotonic, zero).unwrap();
+        assert_eq!(c6.to_bits(), (0.64f64 / (1.0 - 0.64 / 15.0)).to_bits());
         // For C3 (highest priority, blocked by C6): wait = (xi_m_6 + delta).
         let delta = 0.25;
         let timing = SlotTiming::new(delta).unwrap();
-        let wait =
-            max_wait_time_bound_with(&apps, &slot, 2, ModelKind::NonMonotonic, timing).unwrap();
+        let wait = max_wait_time_bound(&apps, &slot, 2, ModelKind::NonMonotonic, timing).unwrap();
         assert!((wait - (0.92 + delta)).abs() < 1e-12);
         // For C6 (interfered by C3): a' = xi_m_3 + delta, m = (xi_m_3 + delta)/r_3.
         let effective = 0.64 + delta;
         let expected = effective / (1.0 - effective / 15.0);
-        let wait =
-            max_wait_time_bound_with(&apps, &slot, 5, ModelKind::NonMonotonic, timing).unwrap();
+        let wait = max_wait_time_bound(&apps, &slot, 5, ModelKind::NonMonotonic, timing).unwrap();
         assert!((wait - expected).abs() < 1e-12);
         // The exact fixed point and the lower bound respect the same ordering
         // under overhead as without.
         let exact =
-            max_wait_time_fixed_point_with(&apps, &slot, 5, ModelKind::NonMonotonic, timing)
-                .unwrap();
+            max_wait_time_fixed_point(&apps, &slot, 5, ModelKind::NonMonotonic, timing).unwrap();
         let lower =
-            max_wait_time_lower_bound_with(&apps, &slot, 5, ModelKind::NonMonotonic, timing)
-                .unwrap();
+            max_wait_time_lower_bound(&apps, &slot, 5, ModelKind::NonMonotonic, timing).unwrap();
         assert!(lower <= exact + 1e-12 && exact <= wait + 1e-12);
         // Overheads only grow the wait (monotone in delta).
-        let larger =
-            max_wait_time_bound_with(&apps, &slot, 5, ModelKind::NonMonotonic,
-                SlotTiming::new(2.0 * delta).unwrap())
-            .unwrap();
+        let larger = max_wait_time_bound(
+            &apps,
+            &slot,
+            5,
+            ModelKind::NonMonotonic,
+            SlotTiming::new(2.0 * delta).unwrap(),
+        )
+        .unwrap();
         assert!(larger > wait);
     }
 
@@ -454,12 +415,12 @@ mod tests {
         // higher priority, so analysing A sees B as lower priority (blocking)
         // and analysing B sees A as interference.
         let ctx_a =
-            InterferenceContext::for_application(&apps, &[0, 1], 0, ModelKind::NonMonotonic)
+            InterferenceContext::for_application(&apps, &[0, 1], 0, ModelKind::NonMonotonic, ZERO)
                 .unwrap();
         assert_eq!(ctx_a.higher_priority.len(), 0);
         assert!(ctx_a.blocking > 0.0);
         let ctx_b =
-            InterferenceContext::for_application(&apps, &[0, 1], 1, ModelKind::NonMonotonic)
+            InterferenceContext::for_application(&apps, &[0, 1], 1, ModelKind::NonMonotonic, ZERO)
                 .unwrap();
         assert_eq!(ctx_b.higher_priority.len(), 1);
         assert_eq!(ctx_b.blocking, 0.0);

@@ -6,7 +6,7 @@
 //! Run with `cargo run --release --example case_study`.
 
 use automotive_cps::core::{case_study, experiments};
-use automotive_cps::sched::{analyze_slot, ModelKind, WaitTimeMethod};
+use automotive_cps::sched::{analyze_slot, ModelKind, SlotTiming, WaitTimeMethod};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Part 1: the paper's published Table I.
@@ -18,8 +18,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("=== Worst-case response times on the non-monotonic allocation ===");
     for (slot_index, slot) in outcome.non_monotonic.slots.iter().enumerate() {
-        let analysis =
-            analyze_slot(&apps, slot, ModelKind::NonMonotonic, WaitTimeMethod::ClosedFormBound)?;
+        let analysis = analyze_slot(
+            &apps,
+            slot,
+            ModelKind::NonMonotonic,
+            WaitTimeMethod::ClosedFormBound,
+            SlotTiming::ZERO,
+        )?;
         for entry in &analysis.analyses {
             println!(
                 "  S{} {:<4} k_wait = {:>6.3} s  xi_hat = {:>6.3} s  deadline = {:>5.2} s  ({})",

@@ -5,8 +5,8 @@
 //! that claim against an independent cross-crate oracle: exhaustive
 //! enumeration of **every** set partition of the fleet (restricted-growth
 //! canonical form), with each candidate partition judged by the public
-//! `SlotAllocation::verify` — the same cross-checked analysis the rest of
-//! the workspace trusts. The branch-and-bound result must match the
+//! `SlotAllocation::verify_with` — the same cross-checked analysis the rest
+//! of the workspace trusts. The branch-and-bound result must match the
 //! enumerated minimum on every fleet, under every dwell model × wait-time
 //! method combination.
 //!
@@ -46,7 +46,7 @@ fn analysis_configs(max_slots: usize) -> Vec<AllocatorConfig> {
 
 /// Exhaustive oracle: the minimum slot count over *all* feasible set
 /// partitions of the fleet (at most `max_slots` parts), judged by
-/// `SlotAllocation::verify`. `None` if no partition is feasible.
+/// `SlotAllocation::verify_with`. `None` if no partition is feasible.
 fn oracle_minimum(apps: &[AppTimingParams], config: &AllocatorConfig) -> Option<usize> {
     let mut assignment = vec![0usize; apps.len()];
     let mut best: Option<usize> = None;
@@ -159,7 +159,7 @@ fn branch_and_bound_matches_exhaustive_enumeration_on_random_fleets() {
                             allocation.slot_count()
                         );
                         assert!(
-                            allocation.verify(&apps).expect("analysis runs"),
+                            allocation.verify_with(&apps, SlotTiming::ZERO).expect("analysis runs"),
                             "n={n} seed={seed}: solver returned an infeasible map"
                         );
                         feasible += 1;
@@ -212,7 +212,7 @@ fn committed_fixture_beats_every_greedy_heuristic_strictly() {
     assert_eq!(sweep.len(), 12);
     for config in &sweep {
         let greedy = allocate_slots(&apps, config).expect("greedy succeeds on the fixture");
-        assert!(greedy.verify(&apps).expect("analysis runs"));
+        assert!(greedy.verify_with(&apps, SlotTiming::ZERO).expect("analysis runs"));
         assert_eq!(
             greedy.slot_count(),
             3,
@@ -228,7 +228,7 @@ fn committed_fixture_beats_every_greedy_heuristic_strictly() {
     for config in analysis_configs(apps.len()) {
         let optimal = allocate_slots_optimal(&apps, &config).expect("fixture solves");
         assert_eq!(optimal.slot_count(), 2);
-        assert!(optimal.verify(&apps).expect("analysis runs"));
+        assert!(optimal.verify_with(&apps, SlotTiming::ZERO).expect("analysis runs"));
         assert_eq!(oracle_minimum(&apps, &config), Some(2));
         // The winning packing pairs a small peak with a large one.
         for slot in &optimal.slots {
@@ -390,7 +390,10 @@ fn branch_and_bound_matches_exhaustive_enumeration_on_mid_size_fleets() {
                         "{context}: solver found {} slots, exhaustive minimum is {minimum}",
                         allocation.slot_count()
                     );
-                    assert!(allocation.verify(&apps).expect("analysis runs"), "{context}");
+                    assert!(
+                        allocation.verify_with(&apps, SlotTiming::ZERO).expect("analysis runs"),
+                        "{context}"
+                    );
                     feasible += 1;
                 }
                 (None, Err(_)) => {}

@@ -24,7 +24,7 @@
 //! `ci.sh` fails if this file stops being collected.
 
 use automotive_cps::sched::{
-    AllocatorConfig, AppTimingParams, CancelToken, PortfolioAllocator, PortfolioConfig,
+    AllocatorConfig, AppTimingParams, CancelToken, PortfolioAllocator, PortfolioConfig, SlotTiming,
 };
 
 /// Fleet size of the committed fixture (the floor is 16 applications).
@@ -138,7 +138,7 @@ fn committed_fixture_defeats_the_greedy_seed() {
     // optimum would certify straight from the seed.
     assert!(optimum < FIXTURE_GREEDY);
     let allocation = solver.best_allocation().expect("optimum recorded");
-    assert!(allocation.verify(&apps).expect("analysis runs"));
+    assert!(allocation.verify_with(&apps, SlotTiming::ZERO).expect("analysis runs"));
 }
 
 #[test]
@@ -230,7 +230,7 @@ fn cancelling_a_parallel_search_mid_flight_keeps_a_valid_incumbent() {
     let outcome = solver.solve();
     canceller.join().expect("canceller joins");
     let allocation = outcome.expect("the greedy incumbent always exists on the fixture");
-    assert!(allocation.verify(&apps).expect("analysis runs"));
+    assert!(allocation.verify_with(&apps, SlotTiming::ZERO).expect("analysis runs"));
     assert!(allocation.slot_count() <= FIXTURE_GREEDY);
     if solver.certified_optimal() {
         assert_eq!(allocation, reference);
@@ -251,6 +251,6 @@ fn exhausted_budgets_degrade_to_the_uncertified_incumbent() {
         let degraded = solver.solve().expect("incumbent survives the cut");
         assert!(!solver.certified_optimal(), "threads={threads}");
         assert_eq!(degraded.slot_count(), solver.incumbent_bound().expect("seed exists"));
-        assert!(degraded.verify(&apps).expect("analysis runs"));
+        assert!(degraded.verify_with(&apps, SlotTiming::ZERO).expect("analysis runs"));
     }
 }

@@ -6,7 +6,7 @@ use automotive_cps::core::{case_study, experiments, CoSimulation};
 use automotive_cps::flexray::{FlexRayBus, FlexRayConfig, Frame};
 use automotive_cps::sched::{
     allocate_slots, allocate_slots_optimal, analyze_slot, AllocatorConfig, DwellTimeModel,
-    ModelKind, NonMonotonicModel, SlotAllocation, WaitTimeMethod,
+    ModelKind, NonMonotonicModel, SlotAllocation, SlotTiming, WaitTimeMethod,
 };
 use std::fmt::Write as _;
 
@@ -33,6 +33,7 @@ fn paper_intermediate_numbers_are_reproduced() {
         &[2, 5],
         ModelKind::NonMonotonic,
         WaitTimeMethod::ClosedFormBound,
+        SlotTiming::ZERO,
     )
     .expect("analysis succeeds");
     let c3 = &analysis.analyses[0];
@@ -65,8 +66,11 @@ fn derived_pipeline_saves_resources_or_matches() {
     let table = case_study::derive_table(&fleet).expect("table derivation succeeds");
     let outcome = case_study::run_slot_allocation(&table).expect("allocation succeeds");
     assert!(outcome.non_monotonic_slots <= outcome.monotonic_slots);
-    assert!(outcome.non_monotonic.verify(&table).expect("verification runs"));
-    assert!(outcome.monotonic.verify(&table).expect("verification runs"));
+    assert!(outcome
+        .non_monotonic
+        .verify_with(&table, SlotTiming::ZERO)
+        .expect("verification runs"));
+    assert!(outcome.monotonic.verify_with(&table, SlotTiming::ZERO).expect("verification runs"));
 }
 
 #[test]
@@ -137,8 +141,9 @@ fn render_golden_fixture() -> String {
         // Wait times and worst-case responses of every application on its
         // slot of the optimal map.
         for slot in &optimal.slots {
-            let analysis = analyze_slot(&apps, slot, model, WaitTimeMethod::ClosedFormBound)
-                .expect("analysis runs");
+            let analysis =
+                analyze_slot(&apps, slot, model, WaitTimeMethod::ClosedFormBound, SlotTiming::ZERO)
+                    .expect("analysis runs");
             for result in &analysis.analyses {
                 writeln!(
                     out,

@@ -8,7 +8,7 @@
 //! goes through the same pipeline and therefore agrees with the primitive
 //! paths exactly.
 
-use automotive_cps::control::{DesignWorkspace, LqrWeights};
+use automotive_cps::control::{CharacterizationWorkspace, DesignWorkspace, LqrWeights};
 use automotive_cps::core::{
     case_study, derive_timing_params, ApplicationSpec, BusConfigSweep, ControlApplication,
     ControllerSpec, DesignedFleet, FleetDesigner,
@@ -71,8 +71,12 @@ fn designer_parity_holds_on_a_scaled_24_app_fleet() {
 #[test]
 fn parallel_characterization_matches_the_sequential_pass_bit_for_bit() {
     let apps = case_study::derived_fleet().unwrap();
-    let reference: Vec<_> =
-        apps.iter().map(|app| derive_timing_params(app).unwrap()).collect();
+    // Each reference row on a fresh workspace; the designer's workers reuse
+    // theirs across applications.
+    let reference: Vec<_> = apps
+        .iter()
+        .map(|app| derive_timing_params(app, &mut CharacterizationWorkspace::new()).unwrap())
+        .collect();
     for threads in [1, 2, 4, 16] {
         let table = FleetDesigner::new().with_threads(threads).characterize(&apps).unwrap();
         assert_eq!(table, reference, "characterisation must not depend on {threads} workers");

@@ -4,7 +4,9 @@
 //! closed-loop map it compiles, and to rounding precision against the
 //! seed's three-term `DelayedLtiSystem::step` + controller path.
 
-use automotive_cps::control::{CommunicationMode, DelayedLtiSystem, DiscreteStateSpace};
+use automotive_cps::control::{
+    CommunicationMode, DelayedLtiSystem, DesignWorkspace, DiscreteStateSpace,
+};
 use automotive_cps::core::{case_study, experiments, ControlApplication};
 use automotive_cps::linalg::Matrix;
 
@@ -123,7 +125,8 @@ fn zero_delay_delayed_system_matches_discrete_state_space() {
     for app in case_study_applications() {
         let plant = &app.spec().plant;
         let h = app.spec().period;
-        let delayed = DelayedLtiSystem::from_continuous(plant, h, 0.0).expect("delayed model");
+        let delayed = DelayedLtiSystem::from_continuous(plant, h, 0.0, &mut DesignWorkspace::new())
+            .expect("delayed model");
         let discrete = DiscreteStateSpace::from_continuous(plant, h).expect("discrete model");
         assert!(delayed.phi().approx_eq(discrete.phi(), 1e-12));
         assert!(delayed.gamma0().approx_eq(discrete.gamma(), 1e-12));

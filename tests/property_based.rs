@@ -3,17 +3,19 @@
 
 use automotive_cps::control::{
     characterize_dwell_vs_wait, characterize_dwell_vs_wait_reference, design_by_pole_placement,
-    plants, CharacterizationConfig, ContinuousStateSpace, DelayedLtiSystem,
+    plants, CharacterizationConfig, CharacterizationWorkspace, ContinuousStateSpace,
+    DelayedLtiSystem, DesignWorkspace,
 };
 use automotive_cps::core::{case_study, CoSimulation, ControlApplication, ScenarioBatch, ScenarioSpec};
 use automotive_cps::flexray::FlexRayConfig;
 use automotive_cps::linalg::{
-    discretize_zoh, dlqr, expm, inverse, solve, spectral_radius, DareOptions, Matrix,
+    discretize_zoh, dlqr, expm, inverse, solve, spectral_radius, DareOptions, ExpmWorkspace,
+    Matrix, RiccatiWorkspace,
 };
 use automotive_cps::sched::{
     allocate_slots, allocate_slots_optimal, max_wait_time_bound, max_wait_time_fixed_point,
     AllocationStrategy, AllocatorConfig, AppTimingParams, ConservativeMonotonicModel,
-    DwellTimeModel, ModelKind, NonMonotonicModel, SimpleMonotonicModel, SlotAllocation,
+    DwellTimeModel, ModelKind, NonMonotonicModel, SimpleMonotonicModel, SlotAllocation, SlotTiming,
     WaitTimeMethod,
 };
 use proptest::prelude::*;
@@ -66,8 +68,11 @@ proptest! {
 
     #[test]
     fn matrix_exponential_of_negated_matrix_is_the_inverse(matrix in small_matrix(2)) {
-        let forward = expm(&matrix).expect("finite input");
-        let backward = expm(&matrix.scale(-1.0)).expect("finite input");
+        let mut workspace = ExpmWorkspace::new(2);
+        let mut forward = Matrix::zeros(2, 2);
+        let mut backward = Matrix::zeros(2, 2);
+        expm(&matrix, &mut workspace, &mut forward).expect("finite input");
+        expm(&matrix.scale(-1.0), &mut workspace, &mut backward).expect("finite input");
         let product = forward.matmul(&backward).expect("dimensions match");
         prop_assert!(product.approx_eq(&Matrix::identity(2), 1e-7));
     }
@@ -75,13 +80,15 @@ proptest! {
     #[test]
     fn zoh_discretisation_shrinks_with_the_step(a in small_matrix(2), dt in 0.001f64..0.05) {
         let b = Matrix::column(&[0.0, 1.0]).expect("static");
-        let (phi, gamma) = discretize_zoh(&a, &b, dt).expect("valid inputs");
+        let mut workspace = ExpmWorkspace::new(3);
+        let (phi, gamma) = discretize_zoh(&a, &b, dt, &mut workspace).expect("valid inputs");
         prop_assert_eq!(phi.shape(), (2, 2));
         prop_assert_eq!(gamma.shape(), (2, 1));
         prop_assert!(phi.is_finite());
         prop_assert!(gamma.is_finite());
         // As dt -> 0 the transition matrix approaches identity.
-        let (phi_small, _) = discretize_zoh(&a, &b, dt / 100.0).expect("valid inputs");
+        let (phi_small, _) =
+            discretize_zoh(&a, &b, dt / 100.0, &mut workspace).expect("valid inputs");
         let dist_small = phi_small.sub_matrix(&Matrix::identity(2)).expect("shape").max_abs();
         let dist_large = phi.sub_matrix(&Matrix::identity(2)).expect("shape").max_abs();
         prop_assert!(dist_small <= dist_large + 1e-12);
@@ -97,7 +104,9 @@ proptest! {
         let b = Matrix::column(&[h * h / 2.0, h]).expect("static");
         let q = Matrix::identity(2).scale(q_scale);
         let r = Matrix::identity(1).scale(r_scale);
-        let solution = dlqr(&a, &b, &q, &r, DareOptions::default()).expect("controllable pair");
+        let mut workspace = RiccatiWorkspace::new(2, 1);
+        let solution =
+            dlqr(&a, &b, &q, &r, DareOptions::default(), &mut workspace).expect("controllable pair");
         let closed = a.sub_matrix(&b.matmul(&solution.gain).expect("shape")).expect("shape");
         prop_assert!(spectral_radius(&closed).expect("finite") < 1.0);
     }
@@ -141,8 +150,9 @@ proptest! {
     ) {
         let slot: Vec<usize> = (0..apps.len()).collect();
         for index in 0..apps.len() {
-            let bound = max_wait_time_bound(&apps, &slot, index, ModelKind::NonMonotonic);
-            let exact = max_wait_time_fixed_point(&apps, &slot, index, ModelKind::NonMonotonic);
+            let kind = ModelKind::NonMonotonic;
+            let bound = max_wait_time_bound(&apps, &slot, index, kind, SlotTiming::ZERO);
+            let exact = max_wait_time_fixed_point(&apps, &slot, index, kind, SlotTiming::ZERO);
             match (bound, exact) {
                 (Ok(bound), Ok(exact)) => prop_assert!(exact <= bound + 1e-9),
                 (Err(_), Err(_)) => {}
@@ -171,8 +181,8 @@ proptest! {
             &AllocatorConfig { model: ModelKind::ConservativeMonotonic, ..config },
         );
         if let (Ok(non_monotonic), Ok(conservative)) = (non_monotonic, conservative) {
-            prop_assert!(non_monotonic.verify(&apps).expect("verification runs"));
-            prop_assert!(conservative.verify(&apps).expect("verification runs"));
+            prop_assert!(non_monotonic.verify_with(&apps, SlotTiming::ZERO).expect("verification runs"));
+            prop_assert!(conservative.verify_with(&apps, SlotTiming::ZERO).expect("verification runs"));
             prop_assert!(non_monotonic.slot_count() <= conservative.slot_count());
         }
     }
@@ -229,7 +239,7 @@ proptest! {
                 }
                 if let Ok(optimal) = &optimal {
                     // The returned map passes the reference verification.
-                    prop_assert!(optimal.verify(&apps).expect("verification runs"));
+                    prop_assert!(optimal.verify_with(&apps, SlotTiming::ZERO).expect("verification runs"));
                 } else {
                     // The exact search may only fail when every greedy
                     // heuristic failed too.
@@ -288,9 +298,16 @@ proptest! {
     ) {
         let plant = stable_case_study_plant(plant_index);
         let h = case_study::CASE_STUDY_PERIOD;
-        let et_sys = DelayedLtiSystem::from_continuous(&plant, h, h).expect("ET model");
-        let tt_sys = DelayedLtiSystem::from_continuous(&plant, h, case_study::CASE_STUDY_TT_DELAY)
-            .expect("TT model");
+        let mut workspace = DesignWorkspace::new();
+        let et_sys =
+            DelayedLtiSystem::from_continuous(&plant, h, h, &mut workspace).expect("ET model");
+        let tt_sys = DelayedLtiSystem::from_continuous(
+            &plant,
+            h,
+            case_study::CASE_STUDY_TT_DELAY,
+            &mut workspace,
+        )
+        .expect("TT model");
         let et = design_by_pole_placement(&et_sys, &[et_fast, et_fast - et_spread, -40.0])
             .expect("ET design");
         let tt = design_by_pole_placement(&tt_sys, &[tt_fast, tt_fast - tt_spread, -40.0])
@@ -302,7 +319,8 @@ proptest! {
             plant_order: 2,
             horizon: 1_500,
         };
-        let fast = characterize_dwell_vs_wait(et.closed_loop(), tt.closed_loop(), &config)
+        let mut scratch = CharacterizationWorkspace::new();
+        let fast = characterize_dwell_vs_wait(et.closed_loop(), tt.closed_loop(), &config, &mut scratch)
             .expect("kernel path");
         let reference =
             characterize_dwell_vs_wait_reference(et.closed_loop(), tt.closed_loop(), &config)

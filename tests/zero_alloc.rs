@@ -33,7 +33,7 @@ use automotive_cps::core::{case_study, AllocationRuntime, RuntimeApp};
 use automotive_cps::core::{CoSimulation, DegradationConfig, RunMetrics};
 use automotive_cps::flexray::{FaultModel, FlexRayConfig, GilbertElliott};
 use automotive_cps::linalg::{
-    expm_into, solve_dare_in_place, DareOptions, ExpmWorkspace, Matrix, RiccatiWorkspace,
+    expm, solve_dare, DareOptions, ExpmWorkspace, Matrix, RiccatiWorkspace,
 };
 use automotive_cps::sched::{
     AllocatorConfig, CancelToken, ModelKind, PortfolioAllocator, PortfolioConfig,
@@ -171,7 +171,7 @@ fn kernel_and_runtime_hot_paths_do_not_allocate() {
     // the warm pool runs its entire dwell sweep with zero allocations, and
     // the pools grow no new entries for an application of known dimensions.
     let mut workspace = CharacterizationWorkspace::new();
-    automotive_cps::core::characterize_application_with(servo, &mut workspace)
+    automotive_cps::core::characterize_application(servo, &mut workspace)
         .expect("warm-up characterisation");
     let state_entries = workspace.state_pool_size();
     let power_entries = workspace.power_pool_size();
@@ -288,15 +288,15 @@ fn kernel_and_runtime_hot_paths_do_not_allocate() {
     let mut exponential = ExpmWorkspace::new(3);
     let mut phi = Matrix::zeros(3, 3);
     // Warm-up: first solves populate the pooled buffers.
-    solve_dare_in_place(&a_aug, &b_aug, &q, &r, options, &mut riccati).expect("dare warm-up");
-    expm_into(&a_aug, &mut exponential, &mut phi).expect("expm warm-up");
+    solve_dare(&a_aug, &b_aug, &q, &r, options, &mut riccati).expect("dare warm-up");
+    expm(&a_aug, &mut exponential, &mut phi).expect("expm warm-up");
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let mut design_checksum = 0.0;
     for _ in 0..25 {
-        solve_dare_in_place(&a_aug, &b_aug, &q, &r, options, &mut riccati)
+        solve_dare(&a_aug, &b_aug, &q, &r, options, &mut riccati)
             .expect("dare solves on warm workspace");
-        expm_into(&a_aug, &mut exponential, &mut phi).expect("expm on warm workspace");
+        expm(&a_aug, &mut exponential, &mut phi).expect("expm on warm workspace");
         design_checksum += riccati.solution().max_abs() + phi.max_abs();
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
